@@ -1,6 +1,6 @@
 // CRC32C (Castagnoli) checksums for on-disk integrity sections.
 //
-// The durable store (eppi-index-v2 files, the epoch MANIFEST journal) guards
+// The durable store (eppi-index-v3 files, the epoch MANIFEST journal) guards
 // every section with a CRC32C so that torn writes, bit rot and truncation are
 // detected at load time instead of silently corrupting the served index.
 // CRC32C is the polynomial used by iSCSI/ext4/LevelDB; we use a portable

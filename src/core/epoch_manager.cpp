@@ -111,6 +111,81 @@ EpochManager::EpochResult EpochManager::rebuild(
   return result;
 }
 
+template <typename Recompute>
+EpochManager::Spliced EpochManager::splice_delta_epoch(
+    std::size_t m, std::size_t n, double lambda, const DeltaRequest& request,
+    std::span<const ProviderId> spliced_rows,
+    std::span<const IdentityId> columns, obs::Span& span,
+    Recompute&& recompute) {
+  const eppi::BitMatrix& previous = previous_.matrix();
+  const bool shape_changed = previous.rows() != m || previous.cols() != n;
+  Spliced out;
+  out.published = eppi::BitMatrix(m, n);
+  eppi::BitMatrix& published = out.published;
+  if (!shape_changed) {
+    published = previous;
+  } else {
+    for (std::size_t i = 0; i < previous.rows(); ++i) {
+      for (std::size_t j = 0; j < previous.cols(); ++j) {
+        if (previous.get(i, j)) published.set(i, j, true);
+      }
+    }
+  }
+  // Every write stores the cell's FINAL value, so overlaps (a joined row
+  // crossing a recomputed column) are written twice with the same bit and
+  // the flip count stays exact.
+  std::size_t flips = 0;
+  const auto write = [&](std::size_t i, std::size_t j, bool bit) {
+    if (published.get(i, j) != bit) {
+      ++flips;
+      published.set(i, j, bit);
+    }
+  };
+  for (std::size_t p = 0; p < m; ++p) {
+    if (p < retired_.size() && retired_[p]) {
+      for (std::size_t j = 0; j < n; ++j) write(p, j, false);
+    }
+  }
+  recompute(write);
+  out.churn = shape_changed ? m * n : flips;
+
+  // Journal as a delta record when the store's lineage head can base one.
+  EpochStore::EpochDelta rec;
+  rec.epoch = epoch_ + 1;
+  rec.base_epoch = epoch_;
+  rec.rows = m;
+  rec.cols = n;
+  rec.lambda = lambda;
+  rec.joined = request.joined;
+  rec.left = request.left;
+  for (const ProviderId p : spliced_rows) {
+    EpochStore::EpochDelta::Row row;
+    row.provider = p;
+    row.bits.assign((n + 7) / 8, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (published.get(p, j)) row.bits[j >> 3] |= 1u << (j & 7);
+    }
+    rec.row_splices.push_back(std::move(row));
+  }
+  for (const IdentityId j : columns) {
+    EpochStore::EpochDelta::Column col;
+    col.identity = j;
+    col.bits.assign((m + 7) / 8, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (published.get(i, j)) col.bits[i >> 3] |= 1u << (i & 7);
+    }
+    rec.col_splices.push_back(std::move(col));
+  }
+  rec.postings_crc = postings_checksum(published);
+
+  adopt_epoch(published, lambda, &rec);
+  span.attr("epoch", epoch_);
+  span.attr("churn", out.churn);
+  span.attr("recomputed", columns.size());
+  record_churn_metrics(out.churn, /*delta=*/true);
+  return out;
+}
+
 EpochManager::EpochResult EpochManager::rebuild_delta(
     const eppi::BitMatrix& truth, std::span<const double> epsilons,
     const DeltaRequest& request) {
@@ -120,8 +195,8 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   require(m >= 1, "EpochManager: need at least one provider");
   apply_membership(request, m);
 
-  if (!has_previous_ || !has_last_info_ || previous_.rows() > m ||
-      previous_.cols() > n) {
+  if (!has_previous_ || !has_last_info_ || previous_.providers() > m ||
+      previous_.identities() > n) {
     // No base to splice over (first epoch, fresh restart, or a shrinking
     // shape): run the full path — same result, more work.
     EpochResult result = rebuild(truth, epsilons);
@@ -132,8 +207,6 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   obs::Span span("serve.rebuild_delta");
   span.attr("providers", m);
   span.attr("identities", n);
-
-  const bool shape_changed = previous_.rows() != m || previous_.cols() != n;
 
   // Grow the retained derivation state; new identities are implicitly
   // dirty, so the placeholder values below are always overwritten.
@@ -148,7 +221,7 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     require(j < n, "EpochManager: dirty identity out of range");
     dirty[j] = 1;
   }
-  for (std::size_t j = previous_.cols(); j < n; ++j) dirty[j] = 1;
+  for (std::size_t j = previous_.identities(); j < n; ++j) dirty[j] = 1;
 
   // Re-derive β*/commonness only where the global frequency or ε could have
   // moved; everything else keeps the previous epoch's values verbatim.
@@ -192,18 +265,10 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     last_info_.betas[j] = beta;
   }
 
-  // Splice over the previous epoch's published matrix.
-  eppi::BitMatrix published(m, n);
-  if (!shape_changed) {
-    published = previous_;
-  } else {
-    for (std::size_t i = 0; i < previous_.rows(); ++i) {
-      for (std::size_t j = 0; j < previous_.cols(); ++j) {
-        if (previous_.get(i, j)) published.set(i, j, true);
-      }
-    }
+  std::vector<IdentityId> affected_ids;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (affected[j]) affected_ids.push_back(static_cast<IdentityId>(j));
   }
-
   std::vector<StickyPublisher> publishers;
   publishers.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -214,96 +279,43 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     return truth.get(i, j) ||
            publishers[i].noise_bit(j, last_info_.betas[j]);
   };
-  // Every write below stores the cell's FINAL value, so overlaps (a joined
-  // row crossing an affected column) are written twice with the same bit
-  // and the flip count stays exact.
-  std::size_t flips = 0;
-  const auto write_cell = [&](std::size_t i, std::size_t j, bool bit) {
-    if (published.get(i, j) != bit) {
-      ++flips;
-      published.set(i, j, bit);
-    }
-  };
-
-  for (std::size_t p = 0; p < m; ++p) {
-    if (p < retired_.size() && retired_[p]) {
-      for (std::size_t j = 0; j < n; ++j) write_cell(p, j, false);
-    }
-  }
-  std::size_t recomputed = 0;
-  std::vector<IdentityId> affected_ids;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!affected[j]) continue;
-    ++recomputed;
-    affected_ids.push_back(static_cast<IdentityId>(j));
-    for (std::size_t i = 0; i < m; ++i) write_cell(i, j, publish_cell(i, j));
-  }
-  for (const ProviderId p : request.joined) {
-    for (std::size_t j = 0; j < n; ++j) write_cell(p, j, publish_cell(p, j));
-  }
-
-  const std::size_t churn = shape_changed ? m * n : flips;
-
-  // Journal as a delta record when the store's lineage head can base one.
-  EpochStore::EpochDelta rec;
-  rec.epoch = epoch_ + 1;
-  rec.base_epoch = epoch_;
-  rec.rows = m;
-  rec.cols = n;
-  rec.lambda = lambda;
-  rec.joined = request.joined;
-  rec.left = request.left;
-  for (const ProviderId p : request.joined) {
-    EpochStore::EpochDelta::Row row;
-    row.provider = p;
-    row.bits.assign((n + 7) / 8, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (published.get(p, j)) row.bits[j >> 3] |= 1u << (j & 7);
-    }
-    rec.row_splices.push_back(std::move(row));
-  }
-  for (const IdentityId j : affected_ids) {
-    EpochStore::EpochDelta::Column col;
-    col.identity = j;
-    col.bits.assign((m + 7) / 8, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (published.get(i, j)) col.bits[i >> 3] |= 1u << (i & 7);
-    }
-    rec.col_splices.push_back(std::move(col));
-  }
-  rec.matrix_crc = matrix_checksum(published);
-  rec.postings_crc = postings_checksum(published);
-  rec.has_postings_crc = true;
-
-  adopt_epoch(published, lambda, &rec);
+  Spliced spliced = splice_delta_epoch(
+      m, n, lambda, request, request.joined, affected_ids, span,
+      [&](const auto& write) {
+        for (const IdentityId j : affected_ids) {
+          for (std::size_t i = 0; i < m; ++i) write(i, j, publish_cell(i, j));
+        }
+        for (const ProviderId p : request.joined) {
+          for (std::size_t j = 0; j < n; ++j) {
+            write(p, j, publish_cell(p, j));
+          }
+        }
+      });
   has_last_info_ = true;
-  span.attr("epoch", epoch_);
-  span.attr("churn", churn);
-  span.attr("recomputed", recomputed);
-  record_churn_metrics(churn, /*delta=*/true);
 
   EpochResult result;
   result.info = last_info_;
   result.epoch = epoch_;
-  result.churn = churn;
+  result.churn = spliced.churn;
   result.delta.delta = true;
-  result.delta.recomputed = recomputed;
+  result.delta.recomputed = affected_ids.size();
   result.delta.spliced_rows = request.joined.size();
   result.delta.affected_ids = std::move(affected_ids);
-  result.index = PpiIndex(std::move(published));
+  result.index = PpiIndex(std::move(spliced.published));
   return result;
 }
 
 std::size_t EpochManager::churn_against_previous(
     const eppi::BitMatrix& published) const {
-  if (!has_previous_ || previous_.rows() != published.rows() ||
-      previous_.cols() != published.cols()) {
+  const eppi::BitMatrix& previous = previous_.matrix();
+  if (!has_previous_ || previous.rows() != published.rows() ||
+      previous.cols() != published.cols()) {
     return published.rows() * published.cols();
   }
   std::size_t churn = 0;
   for (std::size_t i = 0; i < published.rows(); ++i) {
     for (std::size_t j = 0; j < published.cols(); ++j) {
-      if (previous_.get(i, j) != published.get(i, j)) ++churn;
+      if (previous.get(i, j) != published.get(i, j)) ++churn;
     }
   }
   return churn;
@@ -334,7 +346,7 @@ void EpochManager::adopt_epoch(const eppi::BitMatrix& published,
                            commit_lexicon_.get());
     }
   }
-  previous_ = published;
+  previous_ = PpiIndex(published);
   has_previous_ = true;
   last_lambda_ = lambda;
   ++epoch_;
@@ -375,12 +387,13 @@ std::size_t EpochManager::retired_count() const noexcept {
 
 std::size_t EpochManager::pending_churn(const eppi::BitMatrix& truth) const {
   if (!has_previous_) return truth.rows() * truth.cols();
+  const eppi::BitMatrix& previous = previous_.matrix();
   std::size_t pending = 0;
   for (std::size_t i = 0; i < truth.rows(); ++i) {
     const bool retired = i < retired_.size() && retired_[i];
     for (std::size_t j = 0; j < truth.cols(); ++j) {
-      const bool served = i < previous_.rows() && j < previous_.cols() &&
-                          previous_.get(i, j);
+      const bool served = i < previous.rows() && j < previous.cols() &&
+                          previous.get(i, j);
       if (retired ? served : (truth.get(i, j) && !served)) ++pending;
     }
   }
@@ -438,7 +451,7 @@ void EpochManager::attach_store(EpochStore& store) {
   if (const auto latest = store.latest_epoch()) {
     // The epoch *served* is the newest intact one, which can be older than
     // the newest committed id when recovery quarantined a rotted file.
-    previous_ = store.load_epoch(*latest).matrix();
+    previous_ = store.load_epoch(*latest);
     has_previous_ = true;
     served_epoch_ = *latest;
     epoch_time_ = std::chrono::steady_clock::now();
@@ -463,14 +476,37 @@ EpochManager::ServingStatus EpochManager::serving_status() const {
   return status;
 }
 
-PpiIndex EpochManager::current_index() const {
+const PpiIndex& EpochManager::current_index() const {
   require(has_previous_, "EpochManager: no epoch has been built yet");
-  return PpiIndex(previous_);
+  return previous_;
 }
 
 const eppi::BitMatrix& EpochManager::current_matrix() const {
-  require(has_previous_, "EpochManager: no epoch has been built yet");
-  return previous_;
+  return current_index().matrix();
+}
+
+EpochManager::DistributedEpochResult EpochManager::degrade(
+    const eppi::BitMatrix& truth, const std::string& failure,
+    obs::Span& span, bool delta) {
+  ++failed_rebuilds_;
+  ++failed_since_commit_;
+  last_failure_ = failure;
+  span.event("serve.rebuild_failed");
+  obs::Registry::global()
+      .counter("eppi_serving_failed_rebuilds_total", {},
+               "Distributed rebuilds that aborted into degraded serving")
+      .add();
+  DistributedEpochResult result;
+  result.index = previous_;
+  result.epoch = served_epoch_;
+  result.degraded = true;
+  result.failure = last_failure_;
+  // Not zero: the stale index is behind the new network state by this many
+  // known cells, which is what distinguishes a degraded epoch from a
+  // genuinely quiet one on a dashboard.
+  result.churn = pending_churn(truth);
+  record_churn_metrics(result.churn, delta);
+  return result;
 }
 
 EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
@@ -481,7 +517,6 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
   span.attr("identities", truth.cols());
   span.attr("distributed", true);
 
-  DistributedEpochResult result;
   DistributedResult built;
   try {
     built = construct_distributed(truth, epsilons, options);
@@ -491,24 +526,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
     // stale index is correct for the previous network state and strictly
     // better than no locator service.
     if (!has_previous_) throw;  // nothing to fall back to
-    ++failed_rebuilds_;
-    ++failed_since_commit_;
-    last_failure_ = failure.what();
-    span.event("serve.rebuild_failed");
-    obs::Registry::global()
-        .counter("eppi_serving_failed_rebuilds_total", {},
-                 "Distributed rebuilds that aborted into degraded serving")
-        .add();
-    result.index = PpiIndex(previous_);
-    result.epoch = served_epoch_;
-    result.degraded = true;
-    result.failure = last_failure_;
-    // Not zero (the old hardwired value): the stale index is behind the new
-    // network state by this many known cells, which is what distinguishes a
-    // degraded epoch from a genuinely quiet one on a dashboard.
-    result.churn = pending_churn(truth);
-    record_churn_metrics(result.churn, /*delta=*/false);
-    return result;
+    return degrade(truth, failure.what(), span, /*delta=*/false);
   }
 
   eppi::BitMatrix published = built.index.matrix();
@@ -521,6 +539,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
   record_churn_metrics(churn, /*delta=*/false);
+  DistributedEpochResult result;
   result.epoch = epoch_;
   result.churn = churn;
   result.report = std::move(built.report);
@@ -536,7 +555,8 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   require(epsilons.size() == n, "EpochManager: epsilon count mismatch");
   apply_membership(request, m);
 
-  if (!has_previous_ || previous_.rows() > m || previous_.cols() > n) {
+  if (!has_previous_ || previous_.providers() > m ||
+      previous_.identities() > n) {
     DistributedEpochResult result = rebuild_distributed(truth, epsilons,
                                                         options);
     result.delta = DeltaStats{};
@@ -548,14 +568,12 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   span.attr("identities", n);
   span.attr("distributed", true);
 
-  const bool shape_changed = previous_.rows() != m || previous_.cols() != n;
-
   std::vector<std::uint8_t> dirty(n, 0);
   for (const IdentityId j : request.dirty) {
     require(j < n, "EpochManager: dirty identity out of range");
     dirty[j] = 1;
   }
-  for (std::size_t j = previous_.cols(); j < n; ++j) dirty[j] = 1;
+  for (std::size_t j = previous_.identities(); j < n; ++j) dirty[j] = 1;
   std::vector<IdentityId> dirty_ids;
   for (std::size_t j = 0; j < n; ++j) {
     if (dirty[j]) dirty_ids.push_back(static_cast<IdentityId>(j));
@@ -574,10 +592,10 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   require(active.size() >= 2,
           "EpochManager: delta rebuild needs at least two active providers");
 
-  DistributedEpochResult result;
-  result.delta.delta = true;
-  result.delta.recomputed = dirty_ids.size();
-  result.delta.spliced_rows = request.joined.size();
+  DeltaStats stats;
+  stats.delta = true;
+  stats.recomputed = dirty_ids.size();
+  stats.spliced_rows = request.joined.size();
 
   DistributedResult built;
   bool ran_sub = false;
@@ -598,96 +616,38 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
       built = construct_distributed(sub, sub_epsilons, sub_options);
       ran_sub = true;
     } catch (const eppi::ProtocolError& failure) {
-      ++failed_rebuilds_;
-      ++failed_since_commit_;
-      last_failure_ = failure.what();
-      span.event("serve.rebuild_failed");
-      obs::Registry::global()
-          .counter("eppi_serving_failed_rebuilds_total", {},
-                   "Distributed rebuilds that aborted into degraded serving")
-          .add();
-      result.index = PpiIndex(previous_);
-      result.epoch = served_epoch_;
-      result.degraded = true;
-      result.failure = last_failure_;
-      result.churn = pending_churn(truth);
-      record_churn_metrics(result.churn, /*delta=*/true);
+      DistributedEpochResult result =
+          degrade(truth, failure.what(), span, /*delta=*/true);
+      result.delta = std::move(stats);
       return result;
     }
   }
 
   // Splice the recomputed columns over the previous epoch. λ only widens
   // (max of previous and sub-run) so the decoy set stays monotone across
-  // partial recomputes.
-  eppi::BitMatrix published(m, n);
-  if (!shape_changed) {
-    published = previous_;
-  } else {
-    for (std::size_t i = 0; i < previous_.rows(); ++i) {
-      for (std::size_t j = 0; j < previous_.cols(); ++j) {
-        if (previous_.get(i, j)) published.set(i, j, true);
-      }
-    }
-  }
-  std::size_t flips = 0;
-  const auto write_cell = [&](std::size_t i, std::size_t j, bool bit) {
-    if (published.get(i, j) != bit) {
-      ++flips;
-      published.set(i, j, bit);
-    }
-  };
-  for (std::size_t p = 0; p < m; ++p) {
-    if (p < retired_.size() && retired_[p]) {
-      for (std::size_t j = 0; j < n; ++j) write_cell(p, j, false);
-    }
-  }
-  if (ran_sub) {
-    const eppi::BitMatrix& sub_published = built.index.matrix();
-    for (std::size_t d = 0; d < dirty_ids.size(); ++d) {
-      const std::size_t j = dirty_ids[d];
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        write_cell(active[a], j, sub_published.get(a, d));
-      }
-      // Retired rows in a recomputed column stay zero — handled above.
-    }
-  }
-  const std::size_t churn = shape_changed ? m * n : flips;
+  // partial recomputes. Retired rows in a recomputed column stay zero: the
+  // splice zeroes them and the sub-run only covers active rows.
   const double lambda =
       std::max(last_lambda_, ran_sub ? built.report.lambda : 0.0);
-
-  EpochStore::EpochDelta rec;
-  rec.epoch = epoch_ + 1;
-  rec.base_epoch = epoch_;
-  rec.rows = m;
-  rec.cols = n;
-  rec.lambda = lambda;
-  rec.joined = request.joined;
-  rec.left = request.left;
-  for (const IdentityId j : dirty_ids) {
-    EpochStore::EpochDelta::Column col;
-    col.identity = j;
-    col.bits.assign((m + 7) / 8, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (published.get(i, j)) col.bits[i >> 3] |= 1u << (i & 7);
-    }
-    rec.col_splices.push_back(std::move(col));
-  }
-  rec.matrix_crc = matrix_checksum(published);
-  rec.postings_crc = postings_checksum(published);
-  rec.has_postings_crc = true;
-
-  adopt_epoch(published, lambda, &rec);
+  Spliced spliced = splice_delta_epoch(
+      m, n, lambda, request, {}, dirty_ids, span, [&](const auto& write) {
+        if (!ran_sub) return;
+        const eppi::BitMatrix& sub_published = built.index.matrix();
+        for (std::size_t d = 0; d < dirty_ids.size(); ++d) {
+          for (std::size_t a = 0; a < active.size(); ++a) {
+            write(active[a], dirty_ids[d], sub_published.get(a, d));
+          }
+        }
+      });
   has_last_info_ = false;
-  span.attr("epoch", epoch_);
-  span.attr("churn", churn);
-  span.attr("recomputed", dirty_ids.size());
-  record_churn_metrics(churn, /*delta=*/true);
 
+  DistributedEpochResult result;
   result.epoch = epoch_;
-  result.churn = churn;
+  result.churn = spliced.churn;
+  result.delta = std::move(stats);
   result.delta.affected_ids = std::move(dirty_ids);
   if (ran_sub) result.report = std::move(built.report);
-  result.index = PpiIndex(std::move(published));
+  result.index = PpiIndex(std::move(spliced.published));
   return result;
 }
 

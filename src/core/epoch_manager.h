@@ -38,6 +38,10 @@
 #include "core/epoch_store.h"
 #include "core/ppi_index.h"
 
+namespace eppi::obs {
+class Span;
+}  // namespace eppi::obs
+
 namespace eppi::core {
 
 class EpochManager {
@@ -190,12 +194,13 @@ class EpochManager {
   ServingStatus serving_status() const;
 
   bool serving() const noexcept { return has_previous_; }
-  PpiIndex current_index() const;  // requires serving(); copies
-  // The served epoch's published matrix without the PpiIndex copy — the
-  // serving tier inverts it straight into a PostingIndex snapshot. The
-  // reference is invalidated by the next successful rebuild/attach_store
-  // (writer-side use only; readers go through LocatorService's snapshots).
-  const eppi::BitMatrix& current_matrix() const;  // requires serving()
+  // The served epoch's published index — the one dense copy of it the
+  // writer side holds; the serving tier inverts its matrix straight into a
+  // PostingIndex snapshot. Both references are invalidated by the next
+  // successful rebuild/attach_store (writer-side use only; readers go
+  // through LocatorService's snapshots). Both require serving().
+  const PpiIndex& current_index() const;
+  const eppi::BitMatrix& current_matrix() const;
 
  private:
   std::uint64_t provider_key(std::size_t provider) const noexcept;
@@ -207,6 +212,29 @@ class EpochManager {
   // full index file.
   void adopt_epoch(const eppi::BitMatrix& published, double lambda,
                    const EpochStore::EpochDelta* delta_rec = nullptr);
+  struct Spliced {
+    eppi::BitMatrix published;
+    std::size_t churn = 0;  // cells changed; m·n when the shape changed
+  };
+  // The splice both delta paths share: copies the previous epoch's
+  // published matrix into an m×n result (growing it when the shape
+  // changed), zeroes retired rows, lets `recompute(write)` store the FINAL
+  // value of every recomputed cell through write(i, j, bit), then journals
+  // the epoch as a delta record — whole rows for `spliced_rows`, columns
+  // for `columns` — adopts it, and records the span attributes and churn
+  // metrics. Defined in epoch_manager.cpp, its only user.
+  template <typename Recompute>
+  Spliced splice_delta_epoch(std::size_t m, std::size_t n, double lambda,
+                             const DeltaRequest& request,
+                             std::span<const ProviderId> spliced_rows,
+                             std::span<const IdentityId> columns,
+                             obs::Span& span, Recompute&& recompute);
+  // Degraded mode shared by both distributed paths: counts the failure and
+  // keeps serving the previous epoch, labelled with how far it is behind
+  // `truth`.
+  DistributedEpochResult degrade(const eppi::BitMatrix& truth,
+                                 const std::string& failure, obs::Span& span,
+                                 bool delta);
   void apply_membership(const DeltaRequest& request, std::size_t m);
   void zero_retired_rows(eppi::BitMatrix& published) const;
   // Cells the served index is behind by relative to `truth`: true postings
@@ -222,7 +250,7 @@ class EpochManager {
                                     // reused)
   std::uint64_t served_epoch_ = 0;  // epoch of previous_ — older than epoch_
                                     // when recovery quarantined newer files
-  eppi::BitMatrix previous_;
+  PpiIndex previous_;
   bool has_previous_ = false;
   // Per-identity derivation state of the previous epoch, the base the delta
   // path recomputes from. Only valid alongside has_previous_ when the

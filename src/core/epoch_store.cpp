@@ -21,8 +21,11 @@ constexpr char kQuarantineDir[] = "quarantine";
 
 constexpr std::uint8_t kRecordSticky = 1;
 constexpr std::uint8_t kRecordEpoch = 2;
-constexpr std::uint8_t kRecordDelta = 3;    // pins replay to matrix_checksum
-constexpr std::uint8_t kRecordDeltaV2 = 4;  // pins replay to postings_checksum
+// Type 3 was the dense-matrix-pinned delta record of stores written before
+// eppi-index-v3; recovery refuses a journal that holds one.
+constexpr std::uint8_t kRecordLegacyDelta = 3;
+// Type 4 pins its replayed result to postings_checksum.
+constexpr std::uint8_t kRecordPostingsDelta = 4;
 
 // Journal records cannot plausibly exceed this; a larger length field is a
 // torn/corrupt tail, not a record.
@@ -56,17 +59,13 @@ bool manifest_magic_ok(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> delta_payload(const EpochStore::EpochDelta& d) {
   BinaryWriter w;
-  // Both delta record generations share one layout; the type byte decides
-  // whether the u32 after λ is a matrix_checksum (type 3, legacy) or a
-  // postings_checksum (type 4). Old readers skip type 4 as unknown rather
-  // than misinterpreting the checksum.
-  w.write_u8(d.has_postings_crc ? kRecordDeltaV2 : kRecordDelta);
+  w.write_u8(kRecordPostingsDelta);
   w.write_u64(d.epoch);
   w.write_u64(d.base_epoch);
   w.write_u64(d.rows);
   w.write_u64(d.cols);
   w.write_u64(std::bit_cast<std::uint64_t>(d.lambda));
-  w.write_u32(d.has_postings_crc ? d.postings_crc : d.matrix_crc);
+  w.write_u32(d.postings_crc);
   w.write_varint(d.joined.size());
   for (const std::uint32_t p : d.joined) w.write_u32(p);
   w.write_varint(d.left.size());
@@ -84,19 +83,16 @@ std::vector<std::uint8_t> delta_payload(const EpochStore::EpochDelta& d) {
   return w.take();
 }
 
-// Inverse of delta_payload; the leading type byte is already consumed and
-// `postings_pinned` says which generation it named.
+// Inverse of delta_payload; the leading type byte is already consumed.
 // Throws SerializeError on truncation (the caller treats it as torn tail).
-EpochStore::EpochDelta read_delta(BinaryReader& r, bool postings_pinned) {
+EpochStore::EpochDelta read_delta(BinaryReader& r) {
   EpochStore::EpochDelta d;
   d.epoch = r.read_u64();
   d.base_epoch = r.read_u64();
   d.rows = r.read_u64();
   d.cols = r.read_u64();
   d.lambda = std::bit_cast<double>(r.read_u64());
-  const std::uint32_t crc = r.read_u32();
-  d.has_postings_crc = postings_pinned;
-  (postings_pinned ? d.postings_crc : d.matrix_crc) = crc;
+  d.postings_crc = r.read_u32();
   // Each count is validated against the bytes actually left before any
   // allocation: an implausible count is a malformed record, not an OOM.
   const auto checked_count = [&r](std::size_t per_element) {
@@ -123,13 +119,11 @@ EpochStore::EpochDelta read_delta(BinaryReader& r, bool postings_pinned) {
   return d;
 }
 
-// Whether a replayed result reaches the checksum its delta record pinned —
-// postings_checksum for type-4 records, matrix_checksum for legacy type 3.
-// Either way the verification runs in posting space.
+// Whether a replayed result reaches the checksum its delta record pinned;
+// the verification runs in posting space.
 bool delta_matches(const PostingIndex& next,
                    const EpochStore::EpochDelta& d) {
-  return d.has_postings_crc ? postings_checksum(next) == d.postings_crc
-                            : matrix_checksum(next) == d.matrix_crc;
+  return postings_checksum(next) == d.postings_crc;
 }
 
 // Result of a read-only journal scan, shared by recovery and fsck.
@@ -140,6 +134,9 @@ struct ManifestScan {
   std::map<std::uint64_t, EpochStore::EpochDelta> deltas;
   std::size_t valid_prefix = 0;  // bytes up to the last good record
   bool torn_tail = false;
+  // A type-3 record was found; the scan stops there (valid_prefix ends
+  // before it) because the store predates eppi-index-v3.
+  bool legacy_delta = false;
   std::vector<std::string> notes;
 };
 
@@ -195,8 +192,11 @@ ManifestScan scan_manifest(std::span<const std::uint8_t> bytes) {
         } else {
           scan.epochs.push_back(std::move(rec));
         }
-      } else if (type == kRecordDelta || type == kRecordDeltaV2) {
-        EpochStore::EpochDelta delta = read_delta(r, type == kRecordDeltaV2);
+      } else if (type == kRecordLegacyDelta) {
+        scan.legacy_delta = true;
+        break;
+      } else if (type == kRecordPostingsDelta) {
+        EpochStore::EpochDelta delta = read_delta(r);
         EpochStore::EpochRecord rec;
         rec.epoch = delta.epoch;
         rec.rows = delta.rows;
@@ -342,6 +342,13 @@ void EpochStore::recover() {
   }
 
   ManifestScan scan = scan_manifest(bytes);
+  if (scan.legacy_delta) {
+    // Skipping the record would silently drop an epoch id that a later
+    // commit would then reuse; refuse instead, like a damaged header.
+    throw storage::StorageError(
+        "epoch store journal holds a type-3 delta record: the store "
+        "predates eppi-index-v3 and is not supported: " + manifest);
+  }
   for (auto& note : scan.notes) report_.notes.push_back(std::move(note));
   if (scan.torn_tail) {
     // Physically cut the torn tail so future appends start at a clean
@@ -431,7 +438,7 @@ void EpochStore::recover() {
       try {
         PostingIndex next = apply_delta_postings(*replayed, it->second);
         if (!delta_matches(next, it->second)) {
-          why = "replayed matrix checksum mismatch";
+          why = "replayed postings checksum mismatch";
         } else {
           rec.file_intact = true;
           replayed = std::move(next);
@@ -659,19 +666,6 @@ std::size_t EpochStore::deltas_since_full() const {
   return n;
 }
 
-std::uint32_t matrix_checksum(const eppi::BitMatrix& matrix) {
-  BinaryWriter w;
-  w.write_u64(matrix.rows());
-  w.write_u64(matrix.cols());
-  for (std::size_t i = 0; i < matrix.rows(); ++i) {
-    const std::uint64_t* words = matrix.row_words(i);
-    for (std::size_t k = 0; k < matrix.words_per_row(); ++k) {
-      w.write_u64(words[k]);
-    }
-  }
-  return crc32c(w.buffer());
-}
-
 eppi::BitMatrix apply_delta(const eppi::BitMatrix& base,
                             const EpochStore::EpochDelta& delta) {
   require(delta.rows >= base.rows() && delta.cols >= base.cols(),
@@ -718,44 +712,6 @@ eppi::BitMatrix apply_delta(const eppi::BitMatrix& base,
     }
   }
   return next;
-}
-
-std::uint32_t matrix_checksum(const PostingIndex& postings) {
-  const std::size_t rows = postings.providers();
-  const std::size_t cols = postings.identities();
-  // Transpose to per-provider identity lists — O(set bits), not O(m·n).
-  // Identities arrive in ascending order, so each list comes out sorted.
-  std::vector<std::vector<IdentityId>> by_provider(rows);
-  std::vector<ProviderId> list;
-  for (std::size_t j = 0; j < cols; ++j) {
-    postings.query_into(static_cast<IdentityId>(j), list);
-    for (const ProviderId p : list) {
-      by_provider[p].push_back(static_cast<IdentityId>(j));
-    }
-  }
-  // Stream exactly the bytes matrix_checksum(BitMatrix) hashes — u64 LE
-  // shape then packed row words — reusing ONE row's worth of buffer.
-  BinaryWriter header;
-  header.write_u64(rows);
-  header.write_u64(cols);
-  std::uint32_t crc = crc32c(header.buffer());
-  const std::size_t words = (cols + 63) / 64;
-  std::vector<std::uint64_t> row(words);
-  std::vector<std::uint8_t> bytes(words * 8);
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::fill(row.begin(), row.end(), std::uint64_t{0});
-    for (const IdentityId j : by_provider[i]) {
-      row[j >> 6] |= std::uint64_t{1} << (j & 63);
-    }
-    for (std::size_t k = 0; k < words; ++k) {
-      for (int b = 0; b < 8; ++b) {
-        bytes[k * 8 + static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>(row[k] >> (8 * b));
-      }
-    }
-    crc = crc32c(bytes, crc);
-  }
-  return crc;
 }
 
 namespace {
@@ -925,6 +881,14 @@ FsckReport fsck_store(storage::Vfs& vfs, const std::string& dir) {
     return report;
   }
   const ManifestScan scan = scan_manifest(bytes);
+  if (scan.legacy_delta) {
+    report.ok = false;
+    report.issues.push_back(
+        {kManifestName, "manifest",
+         "type-3 delta record: the store predates eppi-index-v3 and is not "
+         "supported (recovery refuses to open it)"});
+    return report;
+  }
   if (scan.torn_tail) {
     report.ok = false;
     report.issues.push_back(

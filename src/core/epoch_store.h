@@ -12,13 +12,12 @@
 //                   first record wins forever), one commit record per full
 //                   epoch (id, file name, shape, λ), and delta records for
 //                   incremental epochs (membership changes + spliced
-//                   rows/columns + a checksum of the replayed result; no
-//                   index file is written for a delta epoch). The journal is
-//                   the source of truth: an index file not referenced by a
-//                   record was never committed.
+//                   rows/columns + the postings_checksum of the replayed
+//                   result; no index file is written for a delta epoch).
+//                   The journal is the source of truth: an index file not
+//                   referenced by a record was never committed.
 //   epoch-<N>.idx   the published index of epoch N in the compressed
-//                   sharded eppi-index-v3 format (core/index_io.h);
-//                   v1/v2 files from older stores are still readable.
+//                   sharded eppi-index-v3 format (core/index_io.h).
 //   quarantine/     corrupt or orphaned files moved aside by recovery, kept
 //                   for post-mortems instead of deleted.
 //
@@ -35,6 +34,18 @@
 // clean boundary), validate every referenced index file's checksums,
 // quarantine corrupt ones, and open at the newest epoch whose file is fully
 // intact.
+//
+// Journal records (each framed as u32 length + masked CRC32C + payload whose
+// first byte is the record type):
+//   1 sticky   u64 master key, u8 enable_mixing;
+//   2 epoch    u64 epoch, length-prefixed file name, u64 rows, u64 cols,
+//              u64 λ bits;
+//   4 delta    u64 epoch, u64 base epoch, u64 rows, u64 cols, u64 λ bits,
+//              u32 postings_checksum of the result, then varint-counted
+//              joined/left provider ids, row splices and column splices.
+// Type 3 was the dense-matrix-pinned delta record of stores written before
+// eppi-index-v3; opening a journal that holds one throws StorageError.
+// Other unknown types are skipped (their CRC proved them whole).
 #pragma once
 
 #include <cstdint>
@@ -99,13 +110,10 @@ class EpochStore {
     std::vector<std::uint32_t> left;    // providers retired (rows zeroed)
     std::vector<Row> row_splices;       // full rows (joining providers)
     std::vector<Column> col_splices;    // recomputed identity columns
-    std::uint32_t matrix_crc = 0;  // matrix_checksum() of the replayed result
-    // Newer records (journal type 4) pin the replay to postings_checksum()
-    // instead — a column-major fingerprint that replay can verify directly
-    // in posting space. Legacy type-3 records carry only matrix_crc; both
-    // kinds verify without materializing the dense matrix.
+    // postings_checksum() of the replayed result: a column-major
+    // fingerprint replay verifies directly in posting space, without
+    // materializing the dense matrix.
     std::uint32_t postings_crc = 0;
-    bool has_postings_crc = false;
   };
 
   struct RecoveryReport {
@@ -118,7 +126,8 @@ class EpochStore {
   // Throws storage::StorageError if the manifest is damaged beyond the torn
   // tail that recovery can repair (e.g. a corrupted header) — losing the
   // journal means losing the sticky-key lineage, which must never happen
-  // silently.
+  // silently — or holds a type-3 delta record (a store written before
+  // eppi-index-v3, which this build does not read).
   EpochStore(storage::Vfs& vfs, std::string dir);
 
   const RecoveryReport& recovery_report() const noexcept { return report_; }
@@ -142,7 +151,8 @@ class EpochStore {
   // Loads a committed epoch in the compressed serving form, re-validating
   // its checksums and replaying any delta chain entirely in posting space —
   // the dense matrix is never materialized. The lexicon is whatever the
-  // backing full-epoch file carries (null for v1/v2 files). Throws
+  // backing full-epoch file carries (null if it was written without one).
+  // Throws
   // ConfigError for an unknown epoch, CorruptIndexError if the file rotted
   // since recovery, storage::StorageError if it is missing.
   LoadedIndex load_epoch_postings(std::uint64_t epoch) const;
@@ -196,21 +206,9 @@ class EpochStore {
   bool journal_dirty_ = false;
 };
 
-// CRC32C fingerprint of a published matrix (shape + packed row words) — what
-// a legacy (type-3) delta record pins its replayed result to.
-std::uint32_t matrix_checksum(const eppi::BitMatrix& matrix);
-
-// The same fingerprint computed from the compressed serving form: the
-// postings are transposed back to per-provider rows and the packed words
-// are streamed through the CRC one provider at a time, so the value is
-// bit-identical to matrix_checksum(BitMatrix) without ever holding the
-// m×n matrix. This is what lets recovery verify legacy delta chains in
-// posting space.
-std::uint32_t matrix_checksum(const PostingIndex& postings);
-
 // Column-major fingerprint of the published postings (shape + per-identity
-// count and sorted provider ids) — what a type-4 delta record pins its
-// replay to. Both overloads produce the same value for the same content.
+// count and sorted provider ids) — what a delta record pins its replay to.
+// Both overloads produce the same value for the same content.
 std::uint32_t postings_checksum(const eppi::BitMatrix& matrix);
 std::uint32_t postings_checksum(const PostingIndex& postings);
 
@@ -246,7 +244,7 @@ struct FsckReport {
   std::size_t files_checked = 0;
 };
 
-// Validates a single index file (either format version).
+// Validates a single eppi-index-v3 file.
 FsckReport fsck_index_file(storage::Vfs& vfs, const std::string& path);
 
 // Validates a whole store directory: manifest framing, sticky record

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/crc32c.h"
 
@@ -11,26 +10,22 @@ namespace eppi::core {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'e', 'p', 'p', 'i', 'i', 'd', 'x', '1'};
-constexpr char kMagicV2[8] = {'e', 'p', 'p', 'i', 'i', 'd', 'x', '2'};
 constexpr char kMagicV3[8] = {'e', 'p', 'p', 'i', 'i', 'd', 'x', '3'};
 constexpr char kSealMagic[8] = {'e', 'p', 'p', 'i', 's', 'e', 'a', 'l'};
 
-constexpr std::size_t kDimsOffset = sizeof(kMagicV2);
-constexpr std::size_t kHeaderBytes = kDimsOffset + 16;       // magic + dims
-constexpr std::size_t kHeaderEnd = kHeaderBytes + 4;         // + header CRC
 constexpr std::size_t kFooterBytes = sizeof(kSealMagic) + 4;
 
-// v3 header: magic + u64 rows + u64 cols + u32 shard_count + u32 shard_span
+// Header: magic + u64 rows + u64 cols + u32 shard_count + u32 shard_span
 // + u32 flags, then the header CRC.
-constexpr std::size_t kV3HeaderBytes = kHeaderBytes + 12;
-constexpr std::size_t kV3HeaderEnd = kV3HeaderBytes + 4;
-constexpr std::uint32_t kV3FlagLexicon = 1u;
+constexpr std::size_t kDimsOffset = sizeof(kMagicV3);
+constexpr std::size_t kGeometryOffset = kDimsOffset + 16;
+constexpr std::size_t kHeaderBytes = kGeometryOffset + 12;
+constexpr std::size_t kHeaderEnd = kHeaderBytes + 4;
+constexpr std::uint32_t kFlagLexicon = 1u;
 
-// Dimension bounds checked before any allocation: a hostile header must not
-// drive an n*m overflow or a multi-gigabyte allocation.
+// Dimension bound checked before any allocation: a hostile header must not
+// drive a multi-gigabyte allocation.
 constexpr std::uint64_t kMaxDim = std::uint64_t{1} << 32;
-constexpr std::uint64_t kMaxCells = std::uint64_t{1} << 34;  // 2 Gib of bits
 
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -69,144 +64,9 @@ bool magic_is(std::span<const std::uint8_t> bytes, const char (&magic)[8],
                     });
 }
 
-// Validates rows/cols and computes the exact payload size. Returns a
-// non-empty error string on implausible dimensions.
-struct Dims {
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::size_t words_per_row = 0;
-  std::size_t payload_bytes = 0;
-};
-
-std::string check_dims(std::uint64_t rows, std::uint64_t cols, Dims& dims) {
-  if (rows > kMaxDim || cols > kMaxDim ||
-      (rows != 0 && cols > kMaxCells / rows)) {
-    return "implausible dimensions (" + std::to_string(rows) + " x " +
-           std::to_string(cols) + ")";
-  }
-  dims.rows = rows;
-  dims.cols = cols;
-  dims.words_per_row = static_cast<std::size_t>((cols + 63) / 64);
-  dims.payload_bytes =
-      static_cast<std::size_t>(rows) * dims.words_per_row * 8;
-  return {};
-}
-
-void append_payload(std::vector<std::uint8_t>& out, const PpiIndex& index) {
-  const auto& matrix = index.matrix();
-  for (std::size_t i = 0; i < matrix.rows(); ++i) {
-    const std::uint64_t* words = matrix.row_words(i);
-    for (std::size_t w = 0; w < matrix.words_per_row(); ++w) {
-      append_u64(out, words[w]);
-    }
-  }
-}
-
-// Inverts a v1/v2 dense payload straight into posting lists — the compat
-// load path reads the file's row words without ever building a BitMatrix.
-std::vector<std::vector<ProviderId>> lists_from_payload(
-    std::span<const std::uint8_t> payload, const Dims& dims) {
-  std::vector<std::vector<ProviderId>> lists(
-      static_cast<std::size_t>(dims.cols));
-  for (std::uint64_t i = 0; i < dims.rows; ++i) {
-    for (std::size_t w = 0; w < dims.words_per_row; ++w) {
-      std::uint64_t word =
-          get_u64(payload, (static_cast<std::size_t>(i) * dims.words_per_row +
-                            w) * 8);
-      while (word != 0) {
-        const unsigned b = static_cast<unsigned>(__builtin_ctzll(word));
-        word &= word - 1;
-        const std::uint64_t col = w * 64 + b;
-        if (col < dims.cols) {
-          lists[static_cast<std::size_t>(col)].push_back(
-              static_cast<ProviderId>(i));
-        }
-      }
-    }
-  }
-  return lists;
-}
-
 void add_check(IndexValidation& v, IndexSection section, bool ok,
                std::string detail) {
   v.sections.push_back({section, ok, ok ? std::string{} : std::move(detail)});
-}
-
-void validate_v1(std::span<const std::uint8_t> bytes, IndexValidation& v) {
-  add_check(v, IndexSection::kMagic, true, {});
-  if (bytes.size() < 24) {
-    add_check(v, IndexSection::kHeader, false, "truncated header");
-    return;
-  }
-  Dims dims;
-  const std::string dim_err = check_dims(get_u64(bytes, 8), get_u64(bytes, 16),
-                                         dims);
-  if (!dim_err.empty()) {
-    add_check(v, IndexSection::kHeader, false, dim_err);
-    return;
-  }
-  add_check(v, IndexSection::kHeader, true, {});
-  if (bytes.size() < 24 + dims.payload_bytes) {
-    add_check(v, IndexSection::kPayload, false, "truncated payload");
-    return;
-  }
-  add_check(v, IndexSection::kPayload, true, {});
-  if (bytes.size() > 24 + dims.payload_bytes) {
-    add_check(v, IndexSection::kTrailing, false,
-              "trailing garbage after payload");
-  }
-}
-
-void validate_v2(std::span<const std::uint8_t> bytes, IndexValidation& v) {
-  add_check(v, IndexSection::kMagic, true, {});
-  if (bytes.size() < kHeaderEnd) {
-    add_check(v, IndexSection::kHeader, false, "truncated header");
-    return;
-  }
-  const std::uint32_t want_header =
-      crc32c_unmask(get_u32(bytes, kHeaderBytes));
-  if (crc32c(bytes.subspan(0, kHeaderBytes)) != want_header) {
-    add_check(v, IndexSection::kHeader, false, "header checksum mismatch");
-    return;  // dimensions untrustworthy; later offsets are meaningless
-  }
-  Dims dims;
-  const std::string dim_err =
-      check_dims(get_u64(bytes, kDimsOffset), get_u64(bytes, kDimsOffset + 8),
-                 dims);
-  if (!dim_err.empty()) {
-    add_check(v, IndexSection::kHeader, false, dim_err);
-    return;
-  }
-  add_check(v, IndexSection::kHeader, true, {});
-
-  const std::size_t payload_end = kHeaderEnd + dims.payload_bytes;
-  const std::size_t sealed_end = payload_end + 4;  // through payload CRC
-  if (bytes.size() < sealed_end) {
-    add_check(v, IndexSection::kPayload, false, "truncated payload");
-    add_check(v, IndexSection::kFooter, false,
-              "missing footer (torn write)");
-    return;
-  }
-  const std::uint32_t want_payload = crc32c_unmask(get_u32(bytes, payload_end));
-  add_check(v, IndexSection::kPayload,
-            crc32c(bytes.subspan(kHeaderEnd, dims.payload_bytes)) ==
-                want_payload,
-            "payload checksum mismatch");
-
-  if (bytes.size() < sealed_end + kFooterBytes ||
-      !magic_is(bytes, kSealMagic, sealed_end)) {
-    add_check(v, IndexSection::kFooter, false, "missing footer (torn write)");
-    return;
-  }
-  const std::uint32_t want_seal =
-      crc32c_unmask(get_u32(bytes, sealed_end + sizeof(kSealMagic)));
-  add_check(v, IndexSection::kFooter,
-            crc32c(bytes.subspan(0, sealed_end)) == want_seal,
-            "seal checksum mismatch");
-  if (bytes.size() > sealed_end + kFooterBytes) {
-    add_check(v, IndexSection::kTrailing, false,
-              "trailing garbage after footer");
-  }
 }
 
 // Everything validate_v3 learns that a successful load wants to adopt.
@@ -225,21 +85,21 @@ struct ParsedV3 {
 void validate_v3(std::span<const std::uint8_t> bytes, IndexValidation& v,
                  ParsedV3* out) {
   add_check(v, IndexSection::kMagic, true, {});
-  if (bytes.size() < kV3HeaderEnd) {
+  if (bytes.size() < kHeaderEnd) {
     add_check(v, IndexSection::kHeader, false, "truncated header");
     return;
   }
   const std::uint32_t want_header =
-      crc32c_unmask(get_u32(bytes, kV3HeaderBytes));
-  if (crc32c(bytes.subspan(0, kV3HeaderBytes)) != want_header) {
+      crc32c_unmask(get_u32(bytes, kHeaderBytes));
+  if (crc32c(bytes.subspan(0, kHeaderBytes)) != want_header) {
     add_check(v, IndexSection::kHeader, false, "header checksum mismatch");
     return;
   }
   const std::uint64_t rows = get_u64(bytes, kDimsOffset);
   const std::uint64_t cols = get_u64(bytes, kDimsOffset + 8);
-  const std::uint32_t shard_count = get_u32(bytes, kHeaderBytes);
-  const std::uint32_t shard_span = get_u32(bytes, kHeaderBytes + 4);
-  const std::uint32_t flags = get_u32(bytes, kHeaderBytes + 8);
+  const std::uint32_t shard_count = get_u32(bytes, kGeometryOffset);
+  const std::uint32_t shard_span = get_u32(bytes, kGeometryOffset + 4);
+  const std::uint32_t flags = get_u32(bytes, kGeometryOffset + 8);
   if (rows > kMaxDim || cols > kMaxDim) {
     add_check(v, IndexSection::kHeader,
               false, "implausible dimensions (" + std::to_string(rows) +
@@ -249,14 +109,14 @@ void validate_v3(std::span<const std::uint8_t> bytes, IndexValidation& v,
   const std::uint64_t expect_shards =
       shard_span == 0 ? 0 : (cols + shard_span - 1) / shard_span;
   if (shard_span == 0 || shard_span % 64 != 0 ||
-      shard_count != expect_shards || (flags & ~kV3FlagLexicon) != 0) {
+      shard_count != expect_shards || (flags & ~kFlagLexicon) != 0) {
     add_check(v, IndexSection::kHeader, false,
               "bad shard geometry or flags");
     return;
   }
   add_check(v, IndexSection::kHeader, true, {});
   v.shards = static_cast<int>(shard_count);
-  v.has_lexicon = (flags & kV3FlagLexicon) != 0;
+  v.has_lexicon = (flags & kFlagLexicon) != 0;
   if (out != nullptr) {
     out->rows = rows;
     out->cols = cols;
@@ -264,7 +124,7 @@ void validate_v3(std::span<const std::uint8_t> bytes, IndexValidation& v,
     out->shards.reserve(shard_count);
   }
 
-  std::size_t pos = kV3HeaderEnd;
+  std::size_t pos = kHeaderEnd;
   for (std::uint32_t k = 0; k < shard_count; ++k) {
     const std::string label = "shard " + std::to_string(k);
     if (bytes.size() - pos < 4) {
@@ -324,7 +184,7 @@ void validate_v3(std::span<const std::uint8_t> bytes, IndexValidation& v,
     }
   }
 
-  if ((flags & kV3FlagLexicon) != 0) {
+  if ((flags & kFlagLexicon) != 0) {
     if (bytes.size() - pos < 4 ||
         static_cast<std::uint64_t>(get_u32(bytes, pos)) + 8 >
             bytes.size() - pos) {
@@ -376,6 +236,22 @@ void validate_v3(std::span<const std::uint8_t> bytes, IndexValidation& v,
   }
 }
 
+// The one entry point of both validate_index and load_postings_bytes: only
+// the eppi-index-v3 magic is recognized, anything else (v1/v2 files
+// included) fails the magic check.
+IndexValidation validate(std::span<const std::uint8_t> bytes, ParsedV3* out) {
+  IndexValidation v;
+  if (magic_is(bytes, kMagicV3)) {
+    v.version = 3;
+    validate_v3(bytes, v, out);
+  } else {
+    add_check(v, IndexSection::kMagic, false, "bad magic or version");
+  }
+  v.ok = std::all_of(v.sections.begin(), v.sections.end(),
+                     [](const IndexSectionCheck& c) { return c.ok; });
+  return v;
+}
+
 void throw_first_failure(const IndexValidation& v, const char* who) {
   for (const auto& check : v.sections) {
     if (!check.ok) {
@@ -401,37 +277,6 @@ const char* to_string(IndexSection section) noexcept {
   return "?";
 }
 
-std::vector<std::uint8_t> save_index_bytes(const PpiIndex& index) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagicV2, kMagicV2 + sizeof(kMagicV2));
-  append_u64(out, index.matrix().rows());
-  append_u64(out, index.matrix().cols());
-  append_u32(out, crc32c_mask(crc32c(out)));
-  const std::size_t payload_begin = out.size();
-  append_payload(out, index);
-  append_u32(out, crc32c_mask(crc32c(std::span(out).subspan(payload_begin))));
-  const std::uint32_t seal = crc32c(out);
-  out.insert(out.end(), kSealMagic, kSealMagic + sizeof(kSealMagic));
-  append_u32(out, crc32c_mask(seal));
-  return out;
-}
-
-void save_index(std::ostream& out, const PpiIndex& index) {
-  const auto bytes = save_index_bytes(index);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-void save_index_v1(std::ostream& out, const PpiIndex& index) {
-  std::vector<std::uint8_t> bytes;
-  bytes.insert(bytes.end(), kMagicV1, kMagicV1 + sizeof(kMagicV1));
-  append_u64(bytes, index.matrix().rows());
-  append_u64(bytes, index.matrix().cols());
-  append_payload(bytes, index);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
 std::vector<std::uint8_t> save_index_v3_bytes(const PostingIndex& index,
                                               const Lexicon* lexicon) {
   require(index.shard_span() <= 0xffffffffu &&
@@ -443,7 +288,7 @@ std::vector<std::uint8_t> save_index_v3_bytes(const PostingIndex& index,
   append_u64(out, index.identities());
   append_u32(out, static_cast<std::uint32_t>(index.shard_count()));
   append_u32(out, static_cast<std::uint32_t>(index.shard_span()));
-  append_u32(out, lexicon != nullptr ? kV3FlagLexicon : 0u);
+  append_u32(out, lexicon != nullptr ? kFlagLexicon : 0u);
   append_u32(out, crc32c_mask(crc32c(out)));
 
   for (std::size_t k = 0; k < index.shard_count(); ++k) {
@@ -487,56 +332,26 @@ void save_index_v3(std::ostream& out, const PostingIndex& index,
 }
 
 IndexValidation validate_index(std::span<const std::uint8_t> bytes) {
-  IndexValidation v;
-  if (magic_is(bytes, kMagicV1)) {
-    v.version = 1;
-    validate_v1(bytes, v);
-  } else if (magic_is(bytes, kMagicV2)) {
-    v.version = 2;
-    validate_v2(bytes, v);
-  } else if (magic_is(bytes, kMagicV3)) {
-    v.version = 3;
-    validate_v3(bytes, v, nullptr);
-  } else {
-    add_check(v, IndexSection::kMagic, false, "bad magic or version");
-  }
-  v.ok = std::all_of(v.sections.begin(), v.sections.end(),
-                     [](const IndexSectionCheck& c) { return c.ok; });
-  return v;
+  return validate(bytes, nullptr);
 }
 
 IndexShape index_shape(std::span<const std::uint8_t> bytes) {
-  // All versions put u64 rows, u64 cols right after the 8-byte magic.
-  if (bytes.size() < 24) {
+  // u64 rows, u64 cols sit right after the 8-byte magic.
+  if (bytes.size() < kGeometryOffset) {
     throw CorruptIndexError(IndexSection::kHeader,
                             "index_shape: truncated header");
   }
-  return {get_u64(bytes, 8), get_u64(bytes, 16)};
+  return {get_u64(bytes, kDimsOffset), get_u64(bytes, kDimsOffset + 8)};
 }
 
 LoadedIndex load_postings_bytes(std::span<const std::uint8_t> bytes) {
-  if (magic_is(bytes, kMagicV3)) {
-    IndexValidation v;
-    v.version = 3;
-    ParsedV3 parsed;
-    validate_v3(bytes, v, &parsed);
-    throw_first_failure(v, "load_postings");
-    return LoadedIndex{
-        PostingIndex(static_cast<std::size_t>(parsed.rows),
-                     static_cast<std::size_t>(parsed.cols),
-                     parsed.shard_span, std::move(parsed.shards)),
-        std::move(parsed.lexicon)};
-  }
-  const IndexValidation v = validate_index(bytes);
-  throw_first_failure(v, "load_postings");
-  Dims dims;
-  const std::size_t dims_at = v.version == 2 ? kDimsOffset : std::size_t{8};
-  (void)check_dims(get_u64(bytes, dims_at), get_u64(bytes, dims_at + 8), dims);
-  const std::size_t payload_at = v.version == 2 ? kHeaderEnd : std::size_t{24};
-  const auto lists = lists_from_payload(
-      bytes.subspan(payload_at, dims.payload_bytes), dims);
+  ParsedV3 parsed;
+  throw_first_failure(validate(bytes, &parsed), "load_postings");
   return LoadedIndex{
-      PostingIndex(static_cast<std::size_t>(dims.rows), lists), nullptr};
+      PostingIndex(static_cast<std::size_t>(parsed.rows),
+                   static_cast<std::size_t>(parsed.cols), parsed.shard_span,
+                   std::move(parsed.shards)),
+      std::move(parsed.lexicon)};
 }
 
 LoadedIndex load_postings(std::istream& in) {
@@ -554,13 +369,7 @@ PpiIndex load_index_bytes(std::span<const std::uint8_t> bytes) {
 }
 
 PpiIndex load_index(std::istream& in) {
-  std::vector<std::uint8_t> bytes;
-  char chunk[4096];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + in.gcount());
-    if (in.eof()) break;
-  }
-  return load_index_bytes(bytes);
+  return load_postings(in).postings.to_matrix_index();
 }
 
 }  // namespace eppi::core

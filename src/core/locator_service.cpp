@@ -100,7 +100,7 @@ void LocatorService::delegate(const std::string& owner, double epsilon,
   matrix_dirty_ = true;
   // The builder's index no longer reflects the data; the *published*
   // snapshot stays up for readers until the next construct_ppi() swap.
-  index_.reset();
+  built_ = false;
   report_.reset();
 }
 
@@ -126,7 +126,7 @@ void LocatorService::retire_provider(const std::string& name) {
     return true;
   });
   matrix_dirty_ = true;
-  index_.reset();
+  built_ = false;
   report_.reset();
 }
 
@@ -215,7 +215,7 @@ void LocatorService::construct_ppi() {
     auto result =
         use_delta ? manager_.rebuild_delta_distributed(truth, epsilons_, req, dopt)
                   : manager_.rebuild_distributed(truth, epsilons_, dopt);
-    index_ = std::move(result.index);
+    built_ = true;
     last_rebuild_.epoch = result.epoch;
     last_rebuild_.churn = result.churn;
     last_rebuild_.delta = result.delta.delta;
@@ -236,7 +236,7 @@ void LocatorService::construct_ppi() {
   } else {
     auto result = use_delta ? manager_.rebuild_delta(truth, epsilons_, req)
                             : manager_.rebuild(truth, epsilons_);
-    index_ = std::move(result.index);
+    built_ = true;
     last_rebuild_.epoch = result.epoch;
     last_rebuild_.churn = result.churn;
     last_rebuild_.delta = result.delta.delta;
@@ -258,12 +258,29 @@ void LocatorService::construct_ppi() {
 }
 
 void LocatorService::attach_store(EpochStore& store) {
+  // Provider names are not persisted: answering from a recovered epoch
+  // indexes provider_names_ by the epoch's row ids, so every row must
+  // already be registered. Checked before the manager adopts anything.
+  if (const auto latest = store.latest_epoch()) {
+    const auto& lineage = store.lineage();
+    const auto rec = std::find_if(
+        lineage.begin(), lineage.end(),
+        [&](const EpochStore::EpochRecord& r) { return r.epoch == *latest; });
+    if (rec->rows > provider_names_.size()) {
+      throw eppi::ConfigError(
+          "LocatorService: the store's epoch has " +
+          std::to_string(rec->rows) + " providers but " +
+          std::to_string(provider_names_.size()) +
+          " are registered; register the provider catalog before "
+          "attach_store");
+    }
+  }
   manager_.attach_store(store);
   if (!manager_.serving()) return;
   // Resume answering from the recovered epoch right away (the manager has
   // adopted the store's lineage); a later construct_ppi() replaces it with
   // a fresh one.
-  index_ = PpiIndex(manager_.current_matrix());
+  built_ = true;
   const auto latest = store.latest_epoch();
   if (latest.has_value() && owner_names_.empty()) {
     // A fresh process attaching a populated store has no in-memory owner
@@ -295,14 +312,14 @@ void LocatorService::attach_store(EpochStore& store) {
 }
 
 void LocatorService::publish_snapshot() {
-  publish_with(std::make_shared<const PostingIndex>(index_->matrix()));
+  publish_with(std::make_shared<const PostingIndex>(manager_.current_matrix()));
 }
 
 void LocatorService::publish_snapshot_spliced(
     std::span<const IdentityId> affected,
     std::span<const ProviderId> touched) {
   const auto prev = snapshot_.acquire();
-  const eppi::BitMatrix& published = index_->matrix();
+  const eppi::BitMatrix& published = manager_.current_matrix();
   if (prev == nullptr || prev->postings == nullptr ||
       prev->postings->identities() > published.cols() ||
       prev->postings->providers() > published.rows()) {
@@ -496,9 +513,8 @@ LocatorService::BatchQueryResult LocatorService::query_ppi_many(
 }
 
 const PpiIndex& LocatorService::index() const {
-  require(index_.has_value(),
-          "LocatorService: ConstructPPI has not been run");
-  return *index_;
+  require(built_, "LocatorService: ConstructPPI has not been run");
+  return manager_.current_index();
 }
 
 LocatorService::SearchResult LocatorService::search(

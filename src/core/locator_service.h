@@ -134,7 +134,10 @@ class LocatorService {
   // of going dark.
   void construct_ppi();
 
-  bool constructed() const noexcept { return index_.has_value(); }
+  // The builder's view of the index: the epoch the last construct_ppi()
+  // (or attach_store recovery) produced, until a delegation or retirement
+  // invalidates it. index() throws ConfigError while !constructed().
+  bool constructed() const noexcept { return built_; }
   const PpiIndex& index() const;
 
   // How the most recent construct_ppi() ran — whether the incremental path
@@ -169,7 +172,10 @@ class LocatorService {
   // successful construction is committed before it is served, and if the
   // store holds a committed epoch the service resumes serving it immediately
   // (degraded-mode answers survive a process restart): the recovered epoch
-  // is published to readers the same way a rebuilt one is.
+  // is published to readers the same way a rebuilt one is. Provider names
+  // are not persisted, so the provider catalog must be registered first:
+  // throws ConfigError, attaching and publishing nothing, if the store's
+  // newest epoch has more provider rows than are registered.
   void attach_store(EpochStore& store);
 
   // Epoch/staleness of what queries are currently answered from. Reader-
@@ -284,7 +290,9 @@ class LocatorService {
   RebuildInfo last_rebuild_;
   mutable eppi::BitMatrix cached_matrix_;
   mutable bool matrix_dirty_ = true;
-  std::optional<PpiIndex> index_;
+  // Whether the manager's served epoch is the builder's current index; the
+  // index itself is EpochManager::current_index(), never copied here.
+  bool built_ = false;
   std::optional<DistributedReport> report_;
   // Cached frozen owner catalog; rebuilt lazily when registrations dirtied
   // it (front-coding a million names on every republish would make the

@@ -3,7 +3,6 @@
 // different value) — never a crash, hang, or unbounded allocation.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 
 #include "common/error.h"
@@ -80,11 +79,9 @@ TEST(SerializeFuzzTest, IndexLoaderSurvivesCorruption) {
       if (rng.bernoulli(0.3)) matrix.set(i, j, true);
     }
   }
-  std::stringstream ss;
-  core::save_index(ss, core::PpiIndex(std::move(matrix)));
-  const std::string str = ss.str();
-  std::vector<std::uint8_t> valid(str.begin(), str.end());
-  fuzz_decoder(valid,
+  fuzz_decoder(core::save_index_v3_bytes(
+                   core::PostingIndex(core::PpiIndex(std::move(matrix))),
+                   nullptr),
                [](const std::vector<std::uint8_t>& bytes) {
                  std::stringstream in(
                      std::string(bytes.begin(), bytes.end()));
@@ -104,8 +101,18 @@ core::PpiIndex fuzz_index() {
   return core::PpiIndex(std::move(matrix));
 }
 
-TEST(SerializeFuzzTest, IndexLoaderSurvivesV2Corruption) {
-  fuzz_decoder(core::save_index_bytes(fuzz_index()),
+core::Lexicon fuzz_lexicon(std::size_t owners) {
+  std::vector<std::pair<std::string, core::IdentityId>> names;
+  for (std::size_t t = 0; t < owners; ++t) {
+    names.emplace_back("owner-" + std::to_string(t),
+                       static_cast<core::IdentityId>(t));
+  }
+  return core::Lexicon(std::move(names));
+}
+
+TEST(SerializeFuzzTest, IndexLoaderSurvivesBareV3Corruption) {
+  fuzz_decoder(core::save_index_v3_bytes(core::PostingIndex(fuzz_index()),
+                                         nullptr),
                [](const std::vector<std::uint8_t>& bytes) {
                  (void)core::load_index_bytes(bytes);
                },
@@ -114,12 +121,7 @@ TEST(SerializeFuzzTest, IndexLoaderSurvivesV2Corruption) {
 
 TEST(SerializeFuzzTest, IndexLoaderSurvivesV3Corruption) {
   const core::PpiIndex index = fuzz_index();
-  std::vector<std::pair<std::string, core::IdentityId>> names;
-  for (std::size_t t = 0; t < index.identities(); ++t) {
-    names.emplace_back("owner-" + std::to_string(t),
-                       static_cast<core::IdentityId>(t));
-  }
-  const core::Lexicon lexicon(std::move(names));
+  const core::Lexicon lexicon = fuzz_lexicon(index.identities());
   fuzz_decoder(
       core::save_index_v3_bytes(core::PostingIndex(index), &lexicon),
       [](const std::vector<std::uint8_t>& bytes) {
@@ -128,22 +130,17 @@ TEST(SerializeFuzzTest, IndexLoaderSurvivesV3Corruption) {
       105);
 }
 
-// Truncation at *every* byte boundary — not just random cuts — for all
-// format versions: a torn write can stop anywhere, including mid-magic,
-// mid-dimension and mid-shard, and the loader must reject each prefix,
-// never crash or over-allocate.
+// Truncation at *every* byte boundary — not just random cuts — with and
+// without the lexicon section: a torn write can stop anywhere, including
+// mid-magic, mid-dimension, mid-shard and mid-lexicon, and the loader must
+// reject each prefix, never crash or over-allocate.
 TEST(SerializeFuzzTest, IndexLoaderRejectsEveryTruncationPoint) {
   const core::PpiIndex index = fuzz_index();
+  const core::Lexicon lexicon = fuzz_lexicon(index.identities());
+  const core::PostingIndex postings(index);
 
-  std::stringstream v1;
-  core::save_index_v1(v1, index);
-  const std::string v1_str = v1.str();
-  const std::vector<std::uint8_t> v1_bytes(v1_str.begin(), v1_str.end());
-  const std::vector<std::uint8_t> v2_bytes = core::save_index_bytes(index);
-  const std::vector<std::uint8_t> v3_bytes =
-      core::save_index_v3_bytes(core::PostingIndex(index), nullptr);
-
-  for (const auto& valid : {v1_bytes, v2_bytes, v3_bytes}) {
+  for (const auto& valid : {core::save_index_v3_bytes(postings, nullptr),
+                            core::save_index_v3_bytes(postings, &lexicon)}) {
     for (std::size_t cut = 0; cut < valid.size(); ++cut) {
       const std::vector<std::uint8_t> torn(valid.begin(),
                                            valid.begin() + cut);
@@ -154,40 +151,6 @@ TEST(SerializeFuzzTest, IndexLoaderRejectsEveryTruncationPoint) {
                               << "-byte prefix";
     }
   }
-}
-
-TEST(SerializeFuzzTest, IndexCrossVersionLoads) {
-  const core::PpiIndex index = fuzz_index();
-
-  // v1 bytes load through the same entry point as v2.
-  std::stringstream v1;
-  core::save_index_v1(v1, index);
-  const std::string v1_str = v1.str();
-  const std::vector<std::uint8_t> v1_bytes(v1_str.begin(), v1_str.end());
-  EXPECT_EQ(core::load_index_bytes(v1_bytes).matrix(), index.matrix());
-  EXPECT_EQ(core::validate_index(v1_bytes).version, 1);
-
-  // A v1 header with a v2 body (and vice versa) must be rejected, not
-  // misparsed: the magic decides the layout and the checksums do the rest.
-  const std::vector<std::uint8_t> v2_bytes = core::save_index_bytes(index);
-  std::vector<std::uint8_t> relabeled_v1 = v2_bytes;
-  std::memcpy(relabeled_v1.data(), "eppiidx1", 8);
-  EXPECT_THROW((void)core::load_index_bytes(relabeled_v1), SerializeError);
-  std::vector<std::uint8_t> relabeled_v2 = v1_bytes;
-  std::memcpy(relabeled_v2.data(), "eppiidx2", 8);
-  EXPECT_THROW((void)core::load_index_bytes(relabeled_v2), SerializeError);
-
-  // v3 bytes relabeled as v2 (and vice versa) must likewise be rejected:
-  // the shard-table layout is nothing like a packed row payload, and the
-  // section checksums catch the mismatch before any decode runs.
-  const std::vector<std::uint8_t> v3_bytes =
-      core::save_index_v3_bytes(core::PostingIndex(index), nullptr);
-  std::vector<std::uint8_t> relabeled_v3 = v2_bytes;
-  std::memcpy(relabeled_v3.data(), "eppiidx3", 8);
-  EXPECT_THROW((void)core::load_index_bytes(relabeled_v3), SerializeError);
-  std::vector<std::uint8_t> downlabeled = v3_bytes;
-  std::memcpy(downlabeled.data(), "eppiidx2", 8);
-  EXPECT_THROW((void)core::load_index_bytes(downlabeled), SerializeError);
 }
 
 TEST(SerializeFuzzTest, CircuitLoaderSurvivesCorruption) {

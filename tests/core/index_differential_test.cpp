@@ -82,11 +82,10 @@ TEST(IndexDifferentialTest, QueriesMatchDenseAcrossDensitiesAndShardSpans) {
 
 // --- checksum differential --------------------------------------------------
 
-// The two matrix_checksum overloads must agree bit for bit: recovery
-// verifies LEGACY delta records (pinned to the dense checksum) in posting
-// space, which is only sound if the posting-space computation reproduces
-// the dense value exactly.
-TEST(IndexDifferentialTest, MatrixChecksumAgreesAcrossRepresentations) {
+// The two postings_checksum overloads must agree bit for bit: the writer
+// pins a delta record with the dense overload and recovery verifies it in
+// posting space, which is only sound if both compute the same value.
+TEST(IndexDifferentialTest, PostingsChecksumAgreesAcrossRepresentations) {
   for (const double density : {0.0, 0.05, 0.5}) {
     for (const auto& [m, n] :
          {std::pair<std::size_t, std::size_t>{3, 63},
@@ -94,8 +93,6 @@ TEST(IndexDifferentialTest, MatrixChecksumAgreesAcrossRepresentations) {
           std::pair<std::size_t, std::size_t>{21, 193}}) {
       const auto matrix = random_matrix(m, n, m * 31 + n, density);
       const PostingIndex postings(matrix, 64);
-      EXPECT_EQ(matrix_checksum(matrix), matrix_checksum(postings))
-          << m << "x" << n << " d=" << density;
       EXPECT_EQ(postings_checksum(matrix), postings_checksum(postings))
           << m << "x" << n << " d=" << density;
     }
@@ -137,9 +134,7 @@ EpochStore::EpochDelta make_delta(const eppi::BitMatrix& next,
     }
     d.col_splices.push_back(std::move(col));
   }
-  d.matrix_crc = matrix_checksum(next);
   d.postings_crc = postings_checksum(next);
-  d.has_postings_crc = true;
   return d;
 }
 
@@ -206,7 +201,6 @@ TEST(IndexDifferentialTest, DeltaSpliceMatchesDenseApplyDelta) {
     const PostingIndex compressed =
         apply_delta_postings(base_postings, c.delta);
     expect_identical(dense, compressed, c.name);
-    EXPECT_EQ(matrix_checksum(dense), matrix_checksum(compressed)) << c.name;
     EXPECT_EQ(postings_checksum(dense), postings_checksum(compressed))
         << c.name;
   }
@@ -294,33 +288,6 @@ TEST(IndexDifferentialTest, StoreRecoveryMatchesDenseReplay) {
     // The dense convenience load must agree with the postings load.
     EXPECT_EQ(reopened.load_epoch(epoch).matrix(), *want);
   }
-}
-
-// Legacy pin: a delta record carrying ONLY the dense matrix checksum (a
-// pre-v3 journal, has_postings_crc=false) must still replay and verify in
-// posting space. This is the PR 8 bit-identity pin carried onto v3.
-TEST(IndexDifferentialTest, LegacyMatrixPinnedDeltaReplaysOnV3) {
-  MemVfs vfs;
-  const auto base = random_matrix(5, 60, 13, 0.25);
-  eppi::BitMatrix e2 = base;
-  e2.set(4, 59, !e2.get(4, 59));
-
-  {
-    EpochStore store(vfs, "store");
-    store.record_sticky_state({.master_key = 5, .enable_mixing = true});
-    store.commit_epoch(1, PostingIndex(base, 64), 0.1);
-    auto delta = make_delta(e2, 2, 1, {}, {}, {}, {59});
-    delta.has_postings_crc = false;  // journal as a legacy type-3 record
-    delta.postings_crc = 0;
-    store.commit_delta(delta);
-  }
-
-  EpochStore reopened(vfs, "store");
-  ASSERT_EQ(reopened.latest_epoch(), 2u);
-  const auto& rec = reopened.delta_record(2);
-  EXPECT_FALSE(rec.has_postings_crc);
-  EXPECT_EQ(rec.matrix_crc, matrix_checksum(e2));
-  expect_identical(e2, reopened.load_epoch_postings(2).postings, "legacy");
 }
 
 // The manager's incremental rebuild (PR 8) committed through the new v3

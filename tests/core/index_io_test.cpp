@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
+#include "common/crc32c.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "dataset/synthetic.h"
@@ -22,10 +24,15 @@ PpiIndex sample_index(std::size_t m, std::size_t n, std::uint64_t seed) {
   return PpiIndex(std::move(matrix));
 }
 
+std::vector<std::uint8_t> sample_bytes(std::size_t m, std::size_t n,
+                                       std::uint64_t seed) {
+  return save_index_v3_bytes(PostingIndex(sample_index(m, n, seed)), nullptr);
+}
+
 TEST(IndexIoTest, RoundTripPreservesMatrix) {
   const PpiIndex original = sample_index(17, 130, 1);  // cols span 3 words
   std::stringstream ss;
-  save_index(ss, original);
+  save_index_v3(ss, PostingIndex(original), nullptr);
   const PpiIndex loaded = load_index(ss);
   EXPECT_EQ(loaded.matrix(), original.matrix());
 }
@@ -33,7 +40,7 @@ TEST(IndexIoTest, RoundTripPreservesMatrix) {
 TEST(IndexIoTest, RoundTripEmptyIndex) {
   const PpiIndex original{eppi::BitMatrix(3, 4)};
   std::stringstream ss;
-  save_index(ss, original);
+  save_index_v3(ss, PostingIndex(original), nullptr);
   const PpiIndex loaded = load_index(ss);
   EXPECT_EQ(loaded.providers(), 3u);
   EXPECT_EQ(loaded.identities(), 4u);
@@ -43,7 +50,7 @@ TEST(IndexIoTest, RoundTripEmptyIndex) {
 TEST(IndexIoTest, QueriesSurviveRoundTrip) {
   const PpiIndex original = sample_index(20, 10, 2);
   std::stringstream ss;
-  save_index(ss, original);
+  save_index_v3(ss, PostingIndex(original), nullptr);
   const PpiIndex loaded = load_index(ss);
   for (IdentityId j = 0; j < 10; ++j) {
     EXPECT_EQ(loaded.query(j), original.query(j));
@@ -56,22 +63,26 @@ TEST(IndexIoTest, BadMagicRejected) {
 }
 
 TEST(IndexIoTest, TruncatedFileRejected) {
-  const PpiIndex original = sample_index(8, 8, 3);
-  std::stringstream ss;
-  save_index(ss, original);
-  const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
+  const auto full = sample_bytes(8, 8, 3);
+  std::stringstream truncated(
+      std::string(full.begin(), full.begin() + full.size() / 2));
   EXPECT_THROW(load_index(truncated), eppi::SerializeError);
 }
 
 TEST(IndexIoTest, ImplausibleDimensionsRejected) {
-  std::stringstream ss;
-  ss.write("eppiidx1", 8);
-  // rows = 2^40, cols = 1: must be rejected before allocation.
+  // rows = 2^40 under a VALID header checksum: the bound, not the CRC,
+  // must reject it, and before any allocation.
+  auto bytes = sample_bytes(4, 10, 3);
   const std::uint64_t rows = std::uint64_t{1} << 40;
-  const std::uint64_t cols = 1;
-  for (int i = 0; i < 8; ++i) ss.put(static_cast<char>(rows >> (8 * i)));
-  for (int i = 0; i < 8; ++i) ss.put(static_cast<char>(cols >> (8 * i)));
+  for (int i = 0; i < 8; ++i) {
+    bytes[8 + i] = static_cast<std::uint8_t>(rows >> (8 * i));
+  }
+  const std::uint32_t crc =
+      eppi::crc32c_mask(eppi::crc32c(std::span(bytes).subspan(0, 36)));
+  for (int i = 0; i < 4; ++i) {
+    bytes[36 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  std::stringstream ss(std::string(bytes.begin(), bytes.end()));
   EXPECT_THROW(load_index(ss), eppi::SerializeError);
 }
 
@@ -80,11 +91,11 @@ TEST(IndexIoTest, EmptyStreamRejected) {
   EXPECT_THROW(load_index(ss), eppi::SerializeError);
 }
 
-// --- eppi-index-v2 integrity sections --------------------------------------
+// --- integrity sections ----------------------------------------------------
 
 IndexSection section_of(const std::vector<std::uint8_t>& bytes) {
   try {
-    (void)load_index_bytes(bytes);
+    (void)load_postings_bytes(bytes);
   } catch (const CorruptIndexError& e) {
     return e.section();
   }
@@ -92,72 +103,33 @@ IndexSection section_of(const std::vector<std::uint8_t>& bytes) {
   return IndexSection::kMagic;
 }
 
-TEST(IndexIoTest, V2BytesRoundTrip) {
-  const PpiIndex original = sample_index(9, 70, 4);
-  const auto bytes = save_index_bytes(original);
-  const PpiIndex loaded = load_index_bytes(bytes);
-  EXPECT_EQ(loaded.matrix(), original.matrix());
-  const IndexValidation v = validate_index(bytes);
-  EXPECT_TRUE(v.ok);
-  EXPECT_EQ(v.version, 2);
-}
-
-TEST(IndexIoTest, V1StillLoads) {
-  const PpiIndex original = sample_index(6, 40, 5);
-  std::stringstream ss;
-  save_index_v1(ss, original);
-  const PpiIndex loaded = load_index(ss);
-  EXPECT_EQ(loaded.matrix(), original.matrix());
-}
-
-TEST(IndexIoTest, V2HeaderBitFlipNamesHeaderSection) {
-  auto bytes = save_index_bytes(sample_index(5, 9, 6));
+TEST(IndexIoTest, HeaderBitFlipNamesHeaderSection) {
+  auto bytes = sample_bytes(5, 9, 6);
   bytes[10] ^= 0x01;  // inside the dimension fields
   EXPECT_EQ(section_of(bytes), IndexSection::kHeader);
 }
 
-TEST(IndexIoTest, V2PayloadBitFlipNamesPayloadSection) {
-  auto bytes = save_index_bytes(sample_index(5, 9, 6));
-  bytes[30] ^= 0x80;  // inside the packed matrix words
-  EXPECT_EQ(section_of(bytes), IndexSection::kPayload);
-}
-
-TEST(IndexIoTest, V2TornWriteNamesFooterSection) {
-  const auto bytes = save_index_bytes(sample_index(5, 9, 6));
-  // Cut inside the footer: header and payload verify, the seal is missing —
+TEST(IndexIoTest, TornWriteNamesFooterSection) {
+  const auto bytes = sample_bytes(5, 9, 6);
+  // Cut inside the footer: header and shards verify, the seal is missing —
   // the signature of a partially flushed write.
   const std::vector<std::uint8_t> torn(bytes.begin(), bytes.end() - 6);
   EXPECT_EQ(section_of(torn), IndexSection::kFooter);
 }
 
-TEST(IndexIoTest, V2TrailingGarbageRejected) {
-  auto bytes = save_index_bytes(sample_index(5, 9, 6));
-  bytes.push_back(0x00);
-  EXPECT_EQ(section_of(bytes), IndexSection::kTrailing);
-}
-
-TEST(IndexIoTest, V1TrailingGarbageRejected) {
-  const PpiIndex original = sample_index(6, 40, 5);
-  std::stringstream ss;
-  save_index_v1(ss, original);
-  ss << "extra";
-  EXPECT_THROW(load_index(ss), eppi::SerializeError);
-}
-
 TEST(IndexIoTest, ValidateReportsEverySection) {
-  auto bytes = save_index_bytes(sample_index(4, 17, 7));
-  bytes[30] ^= 0x01;                      // corrupt the payload...
-  bytes[bytes.size() - 1] ^= 0x01;        // ...and the seal checksum
+  auto bytes = sample_bytes(4, 17, 7);
+  bytes[50] ^= 0x01;                // corrupt the first shard blob...
+  bytes[bytes.size() - 1] ^= 0x01;  // ...and the seal checksum
   const IndexValidation v = validate_index(bytes);
   EXPECT_FALSE(v.ok);
-  bool payload_bad = false;
+  bool shard_bad = false;
   bool footer_bad = false;
   for (const auto& check : v.sections) {
-    if (check.section == IndexSection::kPayload && !check.ok)
-      payload_bad = true;
+    if (check.section == IndexSection::kShard && !check.ok) shard_bad = true;
     if (check.section == IndexSection::kFooter && !check.ok) footer_bad = true;
   }
-  EXPECT_TRUE(payload_bad);
+  EXPECT_TRUE(shard_bad);
   EXPECT_TRUE(footer_bad);
 }
 
@@ -166,6 +138,32 @@ TEST(IndexIoTest, ValidateUnrecognizedMagic) {
   const IndexValidation v = validate_index(junk);
   EXPECT_FALSE(v.ok);
   EXPECT_EQ(v.version, 0);
+}
+
+// The retired dense formats are no longer read: a file carrying the
+// eppi-index-v1 or -v2 magic — a genuine old header or a v3 body relabeled
+// — fails the magic check instead of being misparsed.
+TEST(IndexIoTest, LegacyMagicRejected) {
+  const auto v3_bytes = sample_bytes(6, 40, 5);
+  // A v2-shaped header: magic, u64 rows, u64 cols, then one packed row.
+  std::vector<std::uint8_t> v2_header{'e', 'p', 'p', 'i', 'i', 'd', 'x', '2'};
+  v2_header.resize(8 + 16 + 8, 0);
+  v2_header[8] = 1;
+  v2_header[16] = 3;
+  for (const char* magic : {"eppiidx1", "eppiidx2"}) {
+    std::vector<std::uint8_t> relabeled = v3_bytes;
+    std::memcpy(relabeled.data(), magic, 8);
+    std::vector<std::uint8_t> old_header = v2_header;
+    std::memcpy(old_header.data(), magic, 8);
+    for (const auto& bytes : {relabeled, old_header}) {
+      EXPECT_EQ(section_of(bytes), IndexSection::kMagic) << magic;
+      const IndexValidation v = validate_index(bytes);
+      EXPECT_FALSE(v.ok) << magic;
+      EXPECT_EQ(v.version, 0) << magic;
+      ASSERT_EQ(v.sections.size(), 1u) << magic;
+      EXPECT_EQ(v.sections[0].section, IndexSection::kMagic) << magic;
+    }
+  }
 }
 
 }  // namespace

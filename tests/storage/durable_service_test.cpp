@@ -167,6 +167,37 @@ TEST(DurableServiceTest, LocatorServiceResumesFromStoreAfterRestart) {
   EXPECT_EQ(result.rebuilds_behind, 0u);
 }
 
+// Provider names are not persisted, so a fresh process must register its
+// provider catalog before attaching a populated store: serving the
+// recovered epoch without it would index past the (empty) provider-name
+// table on the first query. The attach is refused up front and nothing is
+// adopted or published.
+TEST(DurableServiceTest, AttachWithoutProviderCatalogIsRefused) {
+  MemVfs vfs;
+  {
+    LocatorService service(service_options(/*distributed=*/false));
+    populate(service);
+    EpochStore store(vfs, kDir);
+    service.attach_store(store);
+    service.construct_ppi();
+  }
+
+  LocatorService fresh(service_options(/*distributed=*/false));
+  EpochStore store(vfs, kDir);
+  ASSERT_TRUE(store.latest_epoch().has_value());
+  EXPECT_THROW(fresh.attach_store(store), eppi::ConfigError);
+  EXPECT_FALSE(fresh.constructed());
+  EXPECT_FALSE(fresh.serving_status().serving);
+  EXPECT_THROW(fresh.query_ppi("alice"), eppi::ConfigError);
+  EXPECT_EQ(fresh.metrics().epoch_swaps, 0u);
+
+  // Nothing was adopted: with the catalog registered, the retry resumes.
+  populate(fresh);
+  fresh.attach_store(store);
+  EXPECT_EQ(fresh.serving_status().epoch, 1u);
+  EXPECT_FALSE(fresh.query_ppi("alice").empty());
+}
+
 TEST(DurableServiceTest, FailedDistributedRebuildServesStaleWithStatus) {
   LocatorService service(service_options(/*distributed=*/true));
   populate(service);

@@ -9,8 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "core/index_io.h"
 #include "storage/mem_vfs.h"
 
@@ -32,6 +34,11 @@ PpiIndex sample_index(std::size_t m, std::size_t n, std::uint64_t seed) {
 }
 
 constexpr char kDir[] = "store";
+
+// Byte-deterministic serialization of an index, the equality oracle here.
+std::vector<std::uint8_t> index_bytes(const PpiIndex& index) {
+  return save_index_v3_bytes(PostingIndex(index), nullptr);
+}
 
 TEST(EpochStoreTest, FreshStoreIsEmptyAndClean) {
   MemVfs vfs;
@@ -148,7 +155,7 @@ TEST(EpochStoreTest, OrphanFilesAreQuarantinedNotDeleted) {
   const std::vector<std::uint8_t> junk{1, 2, 3};
   vfs.write_file("store/epoch-9.idx.tmp", junk);
   vfs.fsync_file("store/epoch-9.idx.tmp");
-  const auto orphan = save_index_bytes(sample_index(3, 10, 9));
+  const auto orphan = index_bytes(sample_index(3, 10, 9));
   vfs.write_file("store/epoch-9.idx", orphan);
   vfs.fsync_file("store/epoch-9.idx");
   vfs.fsync_dir("store");
@@ -327,22 +334,60 @@ TEST(EpochStoreTest, DamagedManifestHeaderRefusesToOpen) {
   EXPECT_FALSE(fsck_store(vfs, kDir).ok);
 }
 
+// A journal holding a type-3 delta record (the dense-matrix-pinned record of
+// stores written before eppi-index-v3) is refused at open rather than
+// skipped: skipping it would drop epoch 2 and let a later commit reuse the
+// id.
+TEST(EpochStoreTest, LegacyDeltaRecordRefusesToOpen) {
+  MemVfs vfs;
+  {
+    EpochStore store(vfs, kDir);
+    store.record_sticky_state({1, true});
+    store.commit_epoch(1, sample_index(3, 10, 1), 0.1);
+  }
+  BinaryWriter w;
+  w.write_u8(3);    // record type 3
+  w.write_u64(2);   // epoch
+  w.write_u64(1);   // base epoch
+  w.write_u64(3);   // rows
+  w.write_u64(10);  // cols
+  w.write_u64(0);   // λ bits
+  w.write_u32(0);   // dense-matrix checksum
+  for (int list = 0; list < 4; ++list) w.write_varint(0);
+  const std::vector<std::uint8_t> payload = w.take();
+  // Frame it as the journal does: u32 length, masked CRC32C, payload.
+  BinaryWriter frame;
+  frame.write_u32(static_cast<std::uint32_t>(payload.size()));
+  frame.write_u32(eppi::crc32c_mask(eppi::crc32c(payload)));
+  auto bytes = vfs.read_file("store/MANIFEST");
+  const std::vector<std::uint8_t> header = frame.take();
+  bytes.insert(bytes.end(), header.begin(), header.end());
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  vfs.write_file("store/MANIFEST", bytes);
+  vfs.fsync_file("store/MANIFEST");
+
+  EXPECT_THROW(EpochStore(vfs, kDir), StorageError);
+  // Refusing must not repair anything: the journal is left as found.
+  EXPECT_EQ(vfs.read_file("store/MANIFEST"), bytes);
+  EXPECT_FALSE(fsck_store(vfs, kDir).ok);
+}
+
 TEST(EpochStoreTest, FsckSingleIndexFile) {
   MemVfs vfs;
   vfs.make_dir("d");
-  const auto good = save_index_bytes(sample_index(5, 30, 1));
+  const auto good = index_bytes(sample_index(5, 30, 1));
   vfs.write_file("d/good.idx", good);
   vfs.fsync_file("d/good.idx");
   EXPECT_TRUE(fsck_index_file(vfs, "d/good.idx").ok);
 
   auto bad = good;
-  bad[32] ^= 0x04;
+  bad[50] ^= 0x04;  // inside the first shard blob
   vfs.write_file("d/bad.idx", bad);
   vfs.fsync_file("d/bad.idx");
   const FsckReport report = fsck_index_file(vfs, "d/bad.idx");
   EXPECT_FALSE(report.ok);
   ASSERT_FALSE(report.issues.empty());
-  EXPECT_EQ(report.issues[0].section, std::string("payload"));
+  EXPECT_EQ(report.issues[0].section, std::string("shard"));
 
   EXPECT_FALSE(fsck_index_file(vfs, "d/missing.idx").ok);
 }

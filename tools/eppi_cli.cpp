@@ -23,7 +23,7 @@
 //
 //   eppi_cli fsck <path>
 //       Integrity check with section-level reporting. <path> may be a single
-//       index file (either format version) or an epoch-store directory
+//       eppi-index-v3 file or an epoch-store directory
 //       (manifest framing, sticky record, every referenced epoch file,
 //       orphan detection). Exit 0 when clean, 1 when corruption or crash
 //       artifacts are found — suitable as a CI gate.
@@ -64,8 +64,8 @@
 //                          JSONL (crash-safe atomic write)
 //
 //   eppi_cli stats [<index.idx> | -]
-//       With an index file (any version): dimensions, density and
-//       apparent-frequency profile, plus the v3 compression story — shard
+//       With an eppi-index-v3 file: dimensions, density and
+//       apparent-frequency profile, plus the compression story — shard
 //       topology, lexicon size, per-codec row/byte breakdown (matching
 //       the serving tier's eppi_index_bytes{codec=...} gauges) and the
 //       reduction vs the dense-matrix equivalent.
@@ -1109,7 +1109,6 @@ int cmd_stats(const std::vector<std::string>& args) {
   if (args.empty() || args[0] == "-") return validate_prometheus(std::cin);
   eppi::storage::PosixVfs vfs;
   const auto bytes = vfs.read_file(args[0]);
-  const auto validation = eppi::core::validate_index(bytes);
   const auto loaded = eppi::core::load_postings_bytes(bytes);
   const auto& postings = loaded.postings;
   const std::size_t m = postings.providers();
@@ -1126,7 +1125,7 @@ int cmd_stats(const std::vector<std::string>& args) {
     if (f == m) ++full;
   }
   const std::size_t cells = m * n;
-  std::cout << "format:     eppi-index-v" << validation.version << " ("
+  std::cout << "format:     eppi-index-v3 ("
             << postings.shard_count() << " shard(s), span "
             << postings.shard_span() << ", lexicon: "
             << (loaded.lexicon != nullptr
