@@ -16,12 +16,20 @@
 #               registry, trace ring, JSONL replay, and the construction/
 #               serving/storage instrumentation gates (ctest -L obs), plus
 #               the CLI smoke pipe: serve --smoke --prom | eppi_cli stats -
-#   asan        ASan+UBSan build in ./build-asan, full ctest
-#   tsan        TSan build in ./build-tsan, fault-, concurrency-, obs- and
-#               index-labeled tests (the threaded cluster/reliability
-#               paths, the epoch-snapshot serving tier, the lock-free trace
-#               ring, and the shared-shard snapshot swaps are where races
-#               would live)
+#   mpc         plain build, but only the MPC engines: the GMW engine
+#               differential (random layered and e-PPI circuits against
+#               cleartext evaluation, the dealer against its per-bit
+#               reference, pinned gate-list and construction fingerprints)
+#               plus the builder, garbled and arithmetic suites
+#               (ctest -L mpc)
+#   asan        ASan+UBSan build in ./build-asan, full ctest, then the
+#               mpc-labeled engine differential on its own
+#   tsan        TSan build in ./build-tsan, fault-, concurrency-, obs-,
+#               index- and mpc-labeled tests (the threaded cluster/
+#               reliability paths, the epoch-snapshot serving tier, the
+#               lock-free trace ring, the shared-shard snapshot swaps and
+#               the one-thread-per-party MPC sessions are where races would
+#               live)
 #   bench       smoke-mode bench_serving + bench_tcp, diffed against the
 #               committed BENCH_*.json baselines with a loose (5x) tolerance
 #               via scripts/check_bench.py — catches order-of-magnitude
@@ -68,6 +76,9 @@ case "$stage" in
   index)
     run_preset default -L index
     ;;
+  mpc)
+    run_preset default -L mpc
+    ;;
   obs)
     run_preset default -L obs
     # End-to-end exposition smoke: the serve command's Prometheus dump must
@@ -91,6 +102,7 @@ case "$stage" in
     ;;
   asan)
     run_preset asan
+    ctest --preset asan -L mpc
     ;;
   tsan)
     # TSAN_OPTIONS halt_on_error keeps a race from scrolling past unnoticed.

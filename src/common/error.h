@@ -62,4 +62,11 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) detail::throw_config(what);
 }
 
+// Same for a literal message, which is only turned into a std::string on
+// failure: hot loops (per wire, per gate) then pay a branch, not an
+// allocation.
+inline void require(bool cond, const char* what) {
+  if (!cond) detail::throw_config(what);
+}
+
 }  // namespace eppi

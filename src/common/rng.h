@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -28,7 +29,18 @@ class Rng {
   }
   result_type operator()() noexcept { return next(); }
 
-  std::uint64_t next() noexcept;
+  // Inline: the Beaver dealer and the share generators draw once per bit.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound). bound must be > 0. Uses Lemire's unbiased
   // multiply-shift rejection method.

@@ -146,7 +146,11 @@ ConstructionPartyResult run_construction_party(
     cb_spec.q = ring.q();
     cb_spec.thresholds.assign(thresholds.begin(), thresholds.end());
     cb_spec.xi_ranks = er.ranks;
-    const auto cb_circuit = eppi::mpc::build_count_below_circuit(cb_spec);
+    // Freed once its run returns, so the two circuits are never alive
+    // together; only its stats outlive it.
+    std::optional<eppi::mpc::Circuit> cb_circuit =
+        eppi::mpc::build_count_below_circuit(cb_spec);
+    const eppi::mpc::CircuitStats cb_stats = cb_circuit->stats();
 
     eppi::mpc::GmwSession session;
     for (std::size_t i = 0; i < options.c; ++i) {
@@ -171,7 +175,8 @@ ConstructionPartyResult run_construction_party(
     std::optional<eppi::net::PhaseSpan> phase;
     phase.emplace(ctx, "phase:count_below");
     const auto cb_bits = eppi::mpc::share_input_bits(*my_shares, width);
-    const auto cb_out = run_secure(cb_circuit, cb_bits, 0);
+    const auto cb_out = run_secure(*cb_circuit, cb_bits, 0);
+    cb_circuit.reset();
     const auto counted = eppi::mpc::decode_count_below(cb_spec, cb_out);
     phase->span().attr("common_count", counted.common_count);
     phase.reset();
@@ -219,7 +224,7 @@ ConstructionPartyResult run_construction_party(
     view.common_count = counted.common_count;
     view.xi = xi;
     view.lambda = lambda;
-    view.count_below_stats = cb_circuit.stats();
+    view.count_below_stats = cb_stats;
     view.mix_reveal_stats = mr_circuit.stats();
     result.coordinator = std::move(view);
 

@@ -92,7 +92,7 @@ EpochManager::EpochResult EpochManager::rebuild(
   const std::size_t churn = churn_against_previous(published);
   // Commit first (durable), then mutate: if the store throws, the manager
   // keeps serving the old epoch unchanged and a retry is safe.
-  adopt_epoch(published, info.lambda);
+  adopt_epoch(std::move(published), info.lambda);
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
 
@@ -107,21 +107,19 @@ EpochManager::EpochResult EpochManager::rebuild(
   result.info = std::move(info);
   result.epoch = epoch_;
   result.churn = churn;
-  result.index = PpiIndex(std::move(published));
+  result.index = previous_;
   return result;
 }
 
 template <typename Recompute>
-EpochManager::Spliced EpochManager::splice_delta_epoch(
+std::size_t EpochManager::splice_delta_epoch(
     std::size_t m, std::size_t n, double lambda, const DeltaRequest& request,
     std::span<const ProviderId> spliced_rows,
     std::span<const IdentityId> columns, obs::Span& span,
     Recompute&& recompute) {
-  const eppi::BitMatrix& previous = previous_.matrix();
+  const eppi::BitMatrix& previous = previous_->matrix();
   const bool shape_changed = previous.rows() != m || previous.cols() != n;
-  Spliced out;
-  out.published = eppi::BitMatrix(m, n);
-  eppi::BitMatrix& published = out.published;
+  eppi::BitMatrix published(m, n);
   if (!shape_changed) {
     published = previous;
   } else {
@@ -147,7 +145,7 @@ EpochManager::Spliced EpochManager::splice_delta_epoch(
     }
   }
   recompute(write);
-  out.churn = shape_changed ? m * n : flips;
+  const std::size_t churn = shape_changed ? m * n : flips;
 
   // Journal as a delta record when the store's lineage head can base one.
   EpochStore::EpochDelta rec;
@@ -178,12 +176,12 @@ EpochManager::Spliced EpochManager::splice_delta_epoch(
   }
   rec.postings_crc = postings_checksum(published);
 
-  adopt_epoch(published, lambda, &rec);
+  adopt_epoch(std::move(published), lambda, &rec);
   span.attr("epoch", epoch_);
-  span.attr("churn", out.churn);
+  span.attr("churn", churn);
   span.attr("recomputed", columns.size());
-  record_churn_metrics(out.churn, /*delta=*/true);
-  return out;
+  record_churn_metrics(churn, /*delta=*/true);
+  return churn;
 }
 
 EpochManager::EpochResult EpochManager::rebuild_delta(
@@ -195,8 +193,8 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   require(m >= 1, "EpochManager: need at least one provider");
   apply_membership(request, m);
 
-  if (!has_previous_ || !has_last_info_ || previous_.providers() > m ||
-      previous_.identities() > n) {
+  if (!previous_ || !has_last_info_ || previous_->providers() > m ||
+      previous_->identities() > n) {
     // No base to splice over (first epoch, fresh restart, or a shrinking
     // shape): run the full path — same result, more work.
     EpochResult result = rebuild(truth, epsilons);
@@ -221,7 +219,7 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     require(j < n, "EpochManager: dirty identity out of range");
     dirty[j] = 1;
   }
-  for (std::size_t j = previous_.identities(); j < n; ++j) dirty[j] = 1;
+  for (std::size_t j = previous_->identities(); j < n; ++j) dirty[j] = 1;
 
   // Re-derive β*/commonness only where the global frequency or ε could have
   // moved; everything else keeps the previous epoch's values verbatim.
@@ -279,7 +277,7 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     return truth.get(i, j) ||
            publishers[i].noise_bit(j, last_info_.betas[j]);
   };
-  Spliced spliced = splice_delta_epoch(
+  const std::size_t churn = splice_delta_epoch(
       m, n, lambda, request, request.joined, affected_ids, span,
       [&](const auto& write) {
         for (const IdentityId j : affected_ids) {
@@ -296,22 +294,22 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   EpochResult result;
   result.info = last_info_;
   result.epoch = epoch_;
-  result.churn = spliced.churn;
+  result.churn = churn;
   result.delta.delta = true;
   result.delta.recomputed = affected_ids.size();
   result.delta.spliced_rows = request.joined.size();
   result.delta.affected_ids = std::move(affected_ids);
-  result.index = PpiIndex(std::move(spliced.published));
+  result.index = previous_;
   return result;
 }
 
 std::size_t EpochManager::churn_against_previous(
     const eppi::BitMatrix& published) const {
-  const eppi::BitMatrix& previous = previous_.matrix();
-  if (!has_previous_ || previous.rows() != published.rows() ||
-      previous.cols() != published.cols()) {
+  if (!previous_ || previous_->providers() != published.rows() ||
+      previous_->identities() != published.cols()) {
     return published.rows() * published.cols();
   }
+  const eppi::BitMatrix& previous = previous_->matrix();
   std::size_t churn = 0;
   for (std::size_t i = 0; i < published.rows(); ++i) {
     for (std::size_t j = 0; j < published.cols(); ++j) {
@@ -321,7 +319,7 @@ std::size_t EpochManager::churn_against_previous(
   return churn;
 }
 
-void EpochManager::adopt_epoch(const eppi::BitMatrix& published,
+void EpochManager::adopt_epoch(eppi::BitMatrix published,
                                double lambda,
                                const EpochStore::EpochDelta* delta_rec) {
   if (store_ != nullptr) {
@@ -346,8 +344,7 @@ void EpochManager::adopt_epoch(const eppi::BitMatrix& published,
                            commit_lexicon_.get());
     }
   }
-  previous_ = PpiIndex(published);
-  has_previous_ = true;
+  previous_ = std::make_shared<const PpiIndex>(std::move(published));
   last_lambda_ = lambda;
   ++epoch_;
   served_epoch_ = epoch_;
@@ -386,8 +383,8 @@ std::size_t EpochManager::retired_count() const noexcept {
 }
 
 std::size_t EpochManager::pending_churn(const eppi::BitMatrix& truth) const {
-  if (!has_previous_) return truth.rows() * truth.cols();
-  const eppi::BitMatrix& previous = previous_.matrix();
+  if (!previous_) return truth.rows() * truth.cols();
+  const eppi::BitMatrix& previous = previous_->matrix();
   std::size_t pending = 0;
   for (std::size_t i = 0; i < truth.rows(); ++i) {
     const bool retired = i < retired_.size() && retired_[i];
@@ -451,8 +448,7 @@ void EpochManager::attach_store(EpochStore& store) {
   if (const auto latest = store.latest_epoch()) {
     // The epoch *served* is the newest intact one, which can be older than
     // the newest committed id when recovery quarantined a rotted file.
-    previous_ = store.load_epoch(*latest);
-    has_previous_ = true;
+    previous_ = std::make_shared<const PpiIndex>(store.load_epoch(*latest));
     served_epoch_ = *latest;
     epoch_time_ = std::chrono::steady_clock::now();
     has_epoch_time_ = true;
@@ -465,7 +461,7 @@ void EpochManager::attach_store(EpochStore& store) {
 EpochManager::ServingStatus EpochManager::serving_status() const {
   ServingStatus status;
   status.epoch = served_epoch_;
-  status.serving = has_previous_;
+  status.serving = previous_ != nullptr;
   status.degraded = failed_since_commit_ > 0;
   status.rebuilds_behind = failed_since_commit_;
   if (has_epoch_time_) {
@@ -477,8 +473,8 @@ EpochManager::ServingStatus EpochManager::serving_status() const {
 }
 
 const PpiIndex& EpochManager::current_index() const {
-  require(has_previous_, "EpochManager: no epoch has been built yet");
-  return previous_;
+  require(previous_ != nullptr, "EpochManager: no epoch has been built yet");
+  return *previous_;
 }
 
 const eppi::BitMatrix& EpochManager::current_matrix() const {
@@ -525,14 +521,14 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
     // party). Keep serving the last good epoch rather than going dark; the
     // stale index is correct for the previous network state and strictly
     // better than no locator service.
-    if (!has_previous_) throw;  // nothing to fall back to
+    if (!previous_) throw;  // nothing to fall back to
     return degrade(truth, failure.what(), span, /*delta=*/false);
   }
 
   eppi::BitMatrix published = built.index.matrix();
   zero_retired_rows(published);
   const std::size_t churn = churn_against_previous(published);
-  adopt_epoch(published, built.report.lambda);
+  adopt_epoch(std::move(published), built.report.lambda);
   // The distributed constructor derives β inside the MPC, so the retained
   // centralized derivation state no longer matches what is being served.
   has_last_info_ = false;
@@ -543,7 +539,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
   result.epoch = epoch_;
   result.churn = churn;
   result.report = std::move(built.report);
-  result.index = PpiIndex(std::move(published));
+  result.index = previous_;
   return result;
 }
 
@@ -555,8 +551,8 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   require(epsilons.size() == n, "EpochManager: epsilon count mismatch");
   apply_membership(request, m);
 
-  if (!has_previous_ || previous_.providers() > m ||
-      previous_.identities() > n) {
+  if (!previous_ || previous_->providers() > m ||
+      previous_->identities() > n) {
     DistributedEpochResult result = rebuild_distributed(truth, epsilons,
                                                         options);
     result.delta = DeltaStats{};
@@ -573,7 +569,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
     require(j < n, "EpochManager: dirty identity out of range");
     dirty[j] = 1;
   }
-  for (std::size_t j = previous_.identities(); j < n; ++j) dirty[j] = 1;
+  for (std::size_t j = previous_->identities(); j < n; ++j) dirty[j] = 1;
   std::vector<IdentityId> dirty_ids;
   for (std::size_t j = 0; j < n; ++j) {
     if (dirty[j]) dirty_ids.push_back(static_cast<IdentityId>(j));
@@ -629,7 +625,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   // splice zeroes them and the sub-run only covers active rows.
   const double lambda =
       std::max(last_lambda_, ran_sub ? built.report.lambda : 0.0);
-  Spliced spliced = splice_delta_epoch(
+  const std::size_t churn = splice_delta_epoch(
       m, n, lambda, request, {}, dirty_ids, span, [&](const auto& write) {
         if (!ran_sub) return;
         const eppi::BitMatrix& sub_published = built.index.matrix();
@@ -643,11 +639,11 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
 
   DistributedEpochResult result;
   result.epoch = epoch_;
-  result.churn = spliced.churn;
+  result.churn = churn;
   result.delta = std::move(stats);
   result.delta.affected_ids = std::move(dirty_ids);
   if (ran_sub) result.report = std::move(built.report);
-  result.index = PpiIndex(std::move(spliced.published));
+  result.index = previous_;
   return result;
 }
 

@@ -75,7 +75,9 @@ class EpochManager {
   };
 
   struct EpochResult {
-    PpiIndex index;
+    // The published epoch: the one dense copy of it, shared with the
+    // manager (current_index() until the next successful rebuild).
+    std::shared_ptr<const PpiIndex> index;
     ConstructionInfo info;
     std::uint64_t epoch = 0;
     // Cells that differ from the previous epoch's published matrix
@@ -116,8 +118,9 @@ class EpochManager {
                             const DeltaRequest& request);
 
   struct DistributedEpochResult {
-    PpiIndex index;             // fresh on success; the previous epoch's
-                                // index when degraded
+    // The served epoch, shared with the manager as in EpochResult: fresh on
+    // success, the previous epoch's index when degraded.
+    std::shared_ptr<const PpiIndex> index;
     DistributedReport report;   // meaningful only when !degraded
     std::uint64_t epoch = 0;    // advances only on success
     // On success: as EpochResult::churn. On a degraded rebuild: the number
@@ -193,7 +196,7 @@ class EpochManager {
   };
   ServingStatus serving_status() const;
 
-  bool serving() const noexcept { return has_previous_; }
+  bool serving() const noexcept { return previous_ != nullptr; }
   // The served epoch's published index — the one dense copy of it the
   // writer side holds; the serving tier inverts its matrix straight into a
   // PostingIndex snapshot. Both references are invalidated by the next
@@ -206,29 +209,26 @@ class EpochManager {
   std::uint64_t provider_key(std::size_t provider) const noexcept;
   bool sticky_mix_coin(std::size_t identity, double lambda) const noexcept;
   std::size_t churn_against_previous(const eppi::BitMatrix& published) const;
-  // Commits (store attached) and starts serving `published`. When
-  // `delta_rec` is non-null and the store's lineage head can base a delta
-  // of that shape, the epoch is journaled as a delta record instead of a
-  // full index file.
-  void adopt_epoch(const eppi::BitMatrix& published, double lambda,
+  // Commits (store attached) and starts serving `published`, which becomes
+  // previous_. When `delta_rec` is non-null and the store's lineage head can
+  // base a delta of that shape, the epoch is journaled as a delta record
+  // instead of a full index file.
+  void adopt_epoch(eppi::BitMatrix published, double lambda,
                    const EpochStore::EpochDelta* delta_rec = nullptr);
-  struct Spliced {
-    eppi::BitMatrix published;
-    std::size_t churn = 0;  // cells changed; m·n when the shape changed
-  };
   // The splice both delta paths share: copies the previous epoch's
   // published matrix into an m×n result (growing it when the shape
   // changed), zeroes retired rows, lets `recompute(write)` store the FINAL
   // value of every recomputed cell through write(i, j, bit), then journals
   // the epoch as a delta record — whole rows for `spliced_rows`, columns
   // for `columns` — adopts it, and records the span attributes and churn
-  // metrics. Defined in epoch_manager.cpp, its only user.
+  // metrics. Returns the churn: cells changed, m·n when the shape changed.
+  // Defined in epoch_manager.cpp, its only user.
   template <typename Recompute>
-  Spliced splice_delta_epoch(std::size_t m, std::size_t n, double lambda,
-                             const DeltaRequest& request,
-                             std::span<const ProviderId> spliced_rows,
-                             std::span<const IdentityId> columns,
-                             obs::Span& span, Recompute&& recompute);
+  std::size_t splice_delta_epoch(std::size_t m, std::size_t n, double lambda,
+                                 const DeltaRequest& request,
+                                 std::span<const ProviderId> spliced_rows,
+                                 std::span<const IdentityId> columns,
+                                 obs::Span& span, Recompute&& recompute);
   // Degraded mode shared by both distributed paths: counts the failure and
   // keeps serving the previous epoch, labelled with how far it is behind
   // `truth`.
@@ -250,10 +250,10 @@ class EpochManager {
                                     // reused)
   std::uint64_t served_epoch_ = 0;  // epoch of previous_ — older than epoch_
                                     // when recovery quarantined newer files
-  PpiIndex previous_;
-  bool has_previous_ = false;
+  // The served epoch; null until one is built or restored.
+  std::shared_ptr<const PpiIndex> previous_;
   // Per-identity derivation state of the previous epoch, the base the delta
-  // path recomputes from. Only valid alongside has_previous_ when the
+  // path recomputes from. Only valid alongside previous_ when the
   // previous epoch was built in-process (attach_store restores the matrix
   // but not this, so the first rebuild after a restart runs full).
   bool has_last_info_ = false;

@@ -23,38 +23,73 @@
 
 namespace eppi::mpc {
 
+// Bit-packing helpers shared with the GMW engine's message encoding: bit i
+// of a packed buffer is bit i % 8 of byte i / 8.
+inline std::size_t packed_size(std::uint64_t bits) noexcept {
+  return static_cast<std::size_t>((bits + 7) / 8);
+}
+
+inline void set_packed_bit(std::vector<std::uint8_t>& v, std::uint64_t i,
+                           bool bit) noexcept {
+  const auto mask = static_cast<std::uint8_t>(1u << (i % 8));
+  v[i / 8] = static_cast<std::uint8_t>(bit ? (v[i / 8] | mask)
+                                           : (v[i / 8] & ~mask));
+}
+
+inline bool get_packed_bit(const std::vector<std::uint8_t>& v,
+                           std::uint64_t i) noexcept {
+  return (v[i / 8] >> (i % 8)) & 1;
+}
+
+// Bits [first, first + n) of a packed buffer as one word, bit k of the word
+// holding bit first + k; n <= 64 and the range must lie inside `v`.
+std::uint64_t load_packed_word(const std::vector<std::uint8_t>& v,
+                               std::uint64_t first, unsigned n) noexcept;
+
+// Writes the low n <= 64 bits of `word` to bits [first, first + n).
+void store_packed_word(std::vector<std::uint8_t>& v, std::uint64_t first,
+                       std::uint64_t word, unsigned n) noexcept;
+
 // One party's XOR shares of a batch of bit triples, packed bitwise. The
-// buffers carry the Secret taint; bit accessors hand out tainted SecretBit
-// values, so triple material cannot be logged or compared either.
+// buffers carry the Secret taint; the accessors hand out tainted
+// SecretLanes words, so triple material cannot be logged or compared
+// either.
 struct TripleShares {
   eppi::SecretBytes a;  // packed bits, count bits valid
   eppi::SecretBytes b;
   eppi::SecretBytes c;
   std::uint64_t count = 0;
 
-  eppi::SecretBit a_bit(std::uint64_t i) const noexcept { return bit(a, i); }
-  eppi::SecretBit b_bit(std::uint64_t i) const noexcept { return bit(b, i); }
-  eppi::SecretBit c_bit(std::uint64_t i) const noexcept { return bit(c, i); }
+  // Triples [first, first + n) as lanes 0..n-1 of one word (n <= 64).
+  eppi::SecretLanes a_lanes(std::uint64_t first, unsigned n) const noexcept {
+    return lanes(a, first, n);
+  }
+  eppi::SecretLanes b_lanes(std::uint64_t first, unsigned n) const noexcept {
+    return lanes(b, first, n);
+  }
+  eppi::SecretLanes c_lanes(std::uint64_t first, unsigned n) const noexcept {
+    return lanes(c, first, n);
+  }
 
  private:
-  // Share-local unpacking, not a leak: the bit goes straight back under
-  // taint as a SecretBit.
-  static eppi::SecretBit bit(const eppi::SecretBytes& v,
-                             std::uint64_t i) noexcept {
-    const std::vector<std::uint8_t>& buf = v.unwrap_for_wire();
-    return eppi::SecretBit(((buf[i / 8] >> (i % 8)) & 1) != 0);
+  // Share-local unpacking, not a leak: the bits go straight back under
+  // taint.
+  static eppi::SecretLanes lanes(const eppi::SecretBytes& v,
+                                 std::uint64_t first, unsigned n) noexcept {
+    return eppi::SecretLanes(
+        eppi::BitLanes{load_packed_word(v.unwrap_for_wire(), first, n)});
   }
 };
 
 // Dealer-side generation: returns one TripleShares per party such that for
 // every triple index, XOR of a-shares & XOR of b-shares == XOR of c-shares.
+//
+// Draw order (pinned: party 0 deals with its own Rng, whose later draws
+// feed the MixAndReveal coins): per triple, one Rng::next() per bit — a,
+// b, then the a, b, c shares of parties 0..n-2 — where a bit is 1 iff the
+// draw's top bit is 0, i.e. exactly Rng::bernoulli(0.5). The last party's
+// shares close the XOR sums. Bits are packed a word at a time.
 std::vector<TripleShares> deal_triples(std::size_t n_parties,
                                        std::uint64_t count, eppi::Rng& rng);
-
-// Bit-packing helpers shared with the GMW engine's message encoding.
-void set_packed_bit(std::vector<std::uint8_t>& v, std::uint64_t i, bool bit);
-bool get_packed_bit(const std::vector<std::uint8_t>& v,
-                    std::uint64_t i) noexcept;
-std::size_t packed_size(std::uint64_t bits) noexcept;
 
 }  // namespace eppi::mpc

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace eppi::mpc {
@@ -62,18 +63,40 @@ class Circuit {
   std::size_t n_wires() const noexcept { return gates_.size(); }
   const CircuitStats& stats() const noexcept { return stats_; }
 
-  // AND-layer index of a wire: 0 for wires computable locally from inputs,
-  // r for wires available after the r-th GMW communication round.
-  std::uint32_t layer(Wire w) const { return layers_[w]; }
+  // The layer schedule, compiled once by CircuitBuilder::take(). A wire's
+  // AND layer is 0 when it is computable locally from the inputs and r when
+  // it is available after the r-th GMW communication round. With d the
+  // AND-depth, GMW evaluates local_layer(0), and_layer(1), local_layer(1),
+  // ..., and_layer(d), local_layer(d): local_layer(r) holds the XOR, NOT and
+  // constant gates of layer r, and_layer(r) (1 <= r <= d) the AND gates
+  // opened in round r. Both are in wire order; Beaver triples are assigned
+  // to AND gates in schedule order. Input wires appear in neither.
+  std::span<const Wire> local_layer(std::uint32_t r) const noexcept {
+    return slot(2 * std::size_t{r});
+  }
+  std::span<const Wire> and_layer(std::uint32_t r) const noexcept {
+    return r == 0 ? std::span<const Wire>{} : slot(2 * std::size_t{r} - 1);
+  }
 
  private:
   friend class CircuitBuilder;
 
+  // Slot s of the schedule: local_layer(s / 2) for even s, and_layer
+  // ((s + 1) / 2) for odd s.
+  std::span<const Wire> slot(std::size_t s) const noexcept {
+    if (s + 1 >= slot_offsets_.size()) return {};
+    return std::span<const Wire>(schedule_).subspan(
+        slot_offsets_[s], slot_offsets_[s + 1] - slot_offsets_[s]);
+  }
+
   std::vector<Gate> gates_;
-  std::vector<std::uint32_t> layers_;
   WireVec inputs_;
   WireVec outputs_;
   CircuitStats stats_;
+  // Every non-input wire, slot by slot; slot s is
+  // [slot_offsets_[s], slot_offsets_[s + 1]).
+  WireVec schedule_;
+  std::vector<std::uint32_t> slot_offsets_;
 };
 
 }  // namespace eppi::mpc

@@ -14,6 +14,11 @@ unsigned bit_width_for(std::uint64_t max_value) noexcept {
 
 CircuitBuilder::CircuitBuilder() = default;
 
+void CircuitBuilder::reserve(std::size_t wires) {
+  circuit_.gates_.reserve(wires);
+  layers_.reserve(wires);
+}
+
 Wire CircuitBuilder::append(GateOp op, Wire a, Wire b) {
   const Wire w = static_cast<Wire>(circuit_.gates_.size());
   circuit_.gates_.push_back(Gate{op, a, b});
@@ -27,30 +32,32 @@ Wire CircuitBuilder::append(GateOp op, Wire a, Wire b) {
       break;
     case GateOp::kXor:
       ++circuit_.stats_.xor_gates;
-      layer = std::max(circuit_.layers_[a], circuit_.layers_[b]);
+      layer = std::max(layers_[a], layers_[b]);
       break;
     case GateOp::kAnd:
       ++circuit_.stats_.and_gates;
-      layer = std::max(circuit_.layers_[a], circuit_.layers_[b]) + 1;
+      layer = std::max(layers_[a], layers_[b]) + 1;
       circuit_.stats_.and_depth =
           std::max<std::uint64_t>(circuit_.stats_.and_depth, layer);
       break;
     case GateOp::kNot:
       ++circuit_.stats_.not_gates;
-      layer = circuit_.layers_[a];
+      layer = layers_[a];
       break;
   }
-  circuit_.layers_.push_back(layer);
-  const_val_.push_back(op == GateOp::kConstZero ? 0
-                       : op == GateOp::kConstOne ? 1
-                                                 : -1);
+  layers_.push_back(layer);
+  if (op != GateOp::kInput) {
+    const std::size_t slot = slot_of(op, layer);
+    if (slot >= slot_sizes_.size()) slot_sizes_.resize(slot + 1, 0);
+    ++slot_sizes_[slot];
+  }
   return w;
 }
 
 std::optional<bool> CircuitBuilder::const_of(Wire w) const {
-  const std::int8_t v = const_val_[w];
-  if (v < 0) return std::nullopt;
-  return v != 0;
+  if (w == zero_wire_) return false;
+  if (w == one_wire_) return true;
+  return std::nullopt;
 }
 
 Wire CircuitBuilder::input_bit(std::uint32_t party) {
@@ -66,18 +73,12 @@ WireVec CircuitBuilder::input_bits(std::uint32_t party, unsigned width) {
 }
 
 Wire CircuitBuilder::zero() {
-  if (!has_zero_) {
-    zero_wire_ = append(GateOp::kConstZero, 0, 0);
-    has_zero_ = true;
-  }
+  if (zero_wire_ == kNoWire) zero_wire_ = append(GateOp::kConstZero, 0, 0);
   return zero_wire_;
 }
 
 Wire CircuitBuilder::one() {
-  if (!has_one_) {
-    one_wire_ = append(GateOp::kConstOne, 0, 0);
-    has_one_ = true;
-  }
+  if (one_wire_ == kNoWire) one_wire_ = append(GateOp::kConstOne, 0, 0);
   return one_wire_;
 }
 
@@ -143,16 +144,25 @@ WireVec CircuitBuilder::add_trunc(const WireVec& a, const WireVec& b) {
 }
 
 WireVec CircuitBuilder::add_expand(const WireVec& a, const WireVec& b) {
-  const auto width = static_cast<unsigned>(std::max(a.size(), b.size()));
-  const WireVec xa = zext(a, width);
-  const WireVec xb = zext(b, width);
+  return add_expand_to(a, b,
+                       static_cast<unsigned>(std::max(a.size(), b.size())));
+}
+
+WireVec CircuitBuilder::add_expand_to(const WireVec& a, const WireVec& b,
+                                      unsigned width) {
+  const Wire zero_wire = zero();
+  const auto bit = [&](const WireVec& v, unsigned i) {
+    return i < v.size() ? v[i] : zero_wire;
+  };
   WireVec out(width + 1);
-  Wire carry = zero();
+  Wire carry = zero_wire;
   for (unsigned i = 0; i < width; ++i) {
     // Full adder: sum = a^b^c; carry' = (a&b) ^ (c & (a^b)).
-    const Wire axb = Xor(xa[i], xb[i]);
+    const Wire ai = bit(a, i);
+    const Wire bi = bit(b, i);
+    const Wire axb = Xor(ai, bi);
     out[i] = Xor(axb, carry);
-    carry = Xor(And(xa[i], xb[i]), And(carry, axb));
+    carry = Xor(And(ai, bi), And(carry, axb));
   }
   out[width] = carry;
   return out;
@@ -162,14 +172,16 @@ WireVec CircuitBuilder::add_mod(const WireVec& a, const WireVec& b,
                                 std::uint64_t q) {
   require(q >= 2, "CircuitBuilder: add_mod modulus must be >= 2");
   const unsigned width = bit_width_for(q - 1);
+  require(a.size() <= width && b.size() <= width,
+          "CircuitBuilder: add_mod operand wider than the ring");
+  // t = a + b (width+1 bits).
+  auto t = add_expand_to(a, b, width);
   if (std::has_single_bit(q)) {
     // Power-of-two modulus: truncation is the reduction.
-    auto sum = add_expand(zext(a, width), zext(b, width));
-    sum.resize(width);
-    return sum;
+    t.resize(width);
+    return t;
   }
-  // t = a + b (width+1 bits); result = t >= q ? t - q : t.
-  const auto t = add_expand(zext(a, width), zext(b, width));
+  // result = t >= q ? t - q : t.
   const Wire wrap = ge_const(t, q);
   // t - q == t + (2^(width+1) - q) mod 2^(width+1).
   const std::uint64_t comp = (std::uint64_t{1} << (width + 1)) - q;
@@ -182,14 +194,15 @@ WireVec CircuitBuilder::add_mod(const WireVec& a, const WireVec& b,
 
 Wire CircuitBuilder::lt(const WireVec& a, const WireVec& b) {
   const auto width = static_cast<unsigned>(std::max(a.size(), b.size()));
-  const WireVec xa = zext(a, width);
-  const WireVec xb = zext(b, width);
-  Wire borrow = zero();
+  const Wire zero_wire = zero();
+  Wire borrow = zero_wire;
   for (unsigned i = 0; i < width; ++i) {
+    const Wire ai = i < a.size() ? a[i] : zero_wire;
+    const Wire bi = i < b.size() ? b[i] : zero_wire;
     // Subtract borrow chain: borrow' = (~a & b) ^ (~(a^b) & borrow); the two
     // terms are disjoint, so XOR equals OR here.
-    const Wire d = Xor(xa[i], xb[i]);
-    borrow = Xor(And(Not(xa[i]), xb[i]), And(Not(d), borrow));
+    const Wire d = Xor(ai, bi);
+    borrow = Xor(And(Not(ai), bi), And(Not(d), borrow));
   }
   return borrow;
 }
@@ -257,6 +270,29 @@ void CircuitBuilder::output_vec(const WireVec& v) {
   for (const Wire w : v) output(w);
 }
 
-Circuit CircuitBuilder::take() { return std::move(circuit_); }
+Circuit CircuitBuilder::take() {
+  // Bucket the non-input wires into their schedule slots (counted by
+  // append). Wire order is kept inside a slot, which keeps every slot
+  // topologically ordered.
+  const std::vector<Gate>& gates = circuit_.gates_;
+  const std::size_t slots = 2 * circuit_.stats_.and_depth + 1;
+  slot_sizes_.resize(slots, 0);
+  std::vector<std::uint32_t> offsets(slots + 1, 0);
+  for (std::size_t s = 0; s < slots; ++s) {
+    offsets[s + 1] = offsets[s] + slot_sizes_[s];
+  }
+  WireVec schedule(offsets[slots]);
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t w = 0; w < gates.size(); ++w) {
+    if (gates[w].op == GateOp::kInput) continue;
+    schedule[cursor[slot_of(gates[w].op, layers_[w])]++] =
+        static_cast<Wire>(w);
+  }
+  circuit_.schedule_ = std::move(schedule);
+  circuit_.slot_offsets_ = std::move(offsets);
+  layers_ = {};
+  slot_sizes_ = {};
+  return std::move(circuit_);
+}
 
 }  // namespace eppi::mpc

@@ -23,6 +23,10 @@ class CircuitBuilder {
  public:
   CircuitBuilder();
 
+  // Pre-sizes the gate storage for about `wires` wires, so a generator that
+  // can bound its circuit from its spec grows it once.
+  void reserve(std::size_t wires);
+
   // --- wires -------------------------------------------------------------
   Wire input_bit(std::uint32_t party);
   WireVec input_bits(std::uint32_t party, unsigned width);
@@ -67,7 +71,8 @@ class CircuitBuilder {
   void output(Wire w);
   void output_vec(const WireVec& v);
 
-  // Finalizes and returns the circuit; the builder must not be reused.
+  // Finalizes the circuit — compiles its layer schedule (see
+  // Circuit::local_layer) — and returns it; the builder must not be reused.
   Circuit take();
 
   const CircuitStats& stats() const noexcept { return circuit_.stats_; }
@@ -76,13 +81,24 @@ class CircuitBuilder {
   Wire append(GateOp op, Wire a, Wire b);
   // Build-time constant value of a wire, if known.
   std::optional<bool> const_of(Wire w) const;
+  // a + b over `width` bits, missing high bits of a or b read as zero; the
+  // carry out is bit `width` of the result.
+  WireVec add_expand_to(const WireVec& a, const WireVec& b, unsigned width);
+
+  // Layer-schedule slot of a non-input gate (see Circuit::local_layer).
+  static std::size_t slot_of(GateOp op, std::uint32_t layer) noexcept {
+    return op == GateOp::kAnd ? 2 * std::size_t{layer} - 1
+                              : 2 * std::size_t{layer};
+  }
+
+  static constexpr Wire kNoWire = ~Wire{0};
 
   Circuit circuit_;
-  std::vector<std::int8_t> const_val_;  // -1 unknown, 0/1 known
-  Wire zero_wire_ = 0;
-  Wire one_wire_ = 0;
-  bool has_zero_ = false;
-  bool has_one_ = false;
+  std::vector<std::uint32_t> layers_;      // AND layer per wire
+  std::vector<std::uint32_t> slot_sizes_;  // gates per schedule slot
+  // Folding leaves at most these two constant wires in a circuit.
+  Wire zero_wire_ = kNoWire;
+  Wire one_wire_ = kNoWire;
 };
 
 // Helper: bits needed to hold values up to `max_value`.

@@ -1,6 +1,7 @@
 #include "mpc/eppi_circuits.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.h"
@@ -23,6 +24,20 @@ std::vector<bool> share_input_bits(std::span<const eppi::SecretU64> shares,
 }
 
 namespace {
+
+// Upper bounds on the wires a block appends before constant folding removes
+// any, so each generator reserves its builder's storage once.
+constexpr std::size_t kSlackWires = 4096;  // constants, odd tree carries
+std::size_t adder_wires(unsigned w) { return 5 * std::size_t{w}; }
+std::size_t compare_wires(unsigned w) { return 6 * std::size_t{w} + 1; }
+std::size_t add_mod_wires(unsigned w, std::uint64_t q) {
+  if (std::has_single_bit(q)) return adder_wires(w);
+  // Sum, wrap test on w + 1 bits, subtraction and a w + 1-bit mux.
+  return adder_wires(w) + compare_wires(w + 1) + adder_wires(w + 1) +
+         3 * (std::size_t{w} + 1);
+}
+// popcount's adder tree spends at most 10 gates per input bit.
+std::size_t popcount_wires(std::size_t bits) { return 10 * bits; }
 
 // Declares the share inputs for all parties (party-major) and returns
 // shares[i][j] = WireVec of s(i,j).
@@ -160,8 +175,16 @@ Circuit build_count_below_circuit(const CountBelowSpec& spec) {
   const std::size_t n = spec.thresholds.size();
   require(n >= 1, "CountBelow: need at least one identity");
   const unsigned width = eppi::secret::ModRing(spec.q).bit_width();
+  // Per identity: share inputs, the share sum, the threshold test, and the
+  // rank selection plus its share of the max tree (and + lt + mux).
+  const std::size_t rank_width =
+      spec.xi_ranks.empty() ? 0 : rank_output_width(spec.xi_ranks);
+  const std::size_t per_identity =
+      spec.c * width + (spec.c - 1) * add_mod_wires(width, spec.q) +
+      compare_wires(width) + 10 * rank_width;
 
   CircuitBuilder cb;
+  cb.reserve(n * per_identity + popcount_wires(n) + kSlackWires);
   const auto shares = declare_share_inputs(cb, spec.c, n, width);
   std::vector<Wire> common_bits;
   common_bits.reserve(n);
@@ -221,8 +244,16 @@ Circuit build_mix_reveal_circuit(const MixRevealSpec& spec) {
   const std::size_t n = spec.thresholds.size();
   require(n >= 1, "MixReveal: need at least one identity");
   const unsigned width = eppi::secret::ModRing(spec.q).bit_width();
+  // Per identity: share and coin inputs, the share sum, the threshold test,
+  // the joint coin and its test, the mix bit and the masked value.
+  const std::size_t coin = spec.coin_bits;
+  const std::size_t per_identity =
+      spec.c * (width + coin) + (spec.c - 1) * add_mod_wires(width, spec.q) +
+      compare_wires(width) + (spec.c - 1) * coin +
+      compare_wires(spec.coin_bits + 1) + 4 + width;
 
   CircuitBuilder cb;
+  cb.reserve(n * per_identity + kSlackWires);
   const auto shares = declare_share_inputs(cb, spec.c, n, width);
   std::vector<WireVec> sums;
   sums.reserve(n);

@@ -1,6 +1,8 @@
 #include "mpc/gmw.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 #include "common/error.h"
 #include "common/serialize.h"
@@ -14,6 +16,7 @@ namespace {
 
 using eppi::SecretBit;
 using eppi::SecretBytes;
+using eppi::SecretLanes;
 using eppi::net::MessageTag;
 using eppi::net::PartyContext;
 using eppi::net::PartyId;
@@ -22,6 +25,50 @@ using eppi::net::PartyId;
 constexpr std::uint64_t kSeqTriples = 0;
 constexpr std::uint64_t kSeqInputs = 1;
 constexpr std::uint64_t kSeqLayerBase = 2;  // + layer index (1-based)
+
+// Spreads the low 32 bits of x to the even bit positions.
+std::uint64_t spread_even(std::uint64_t x) noexcept {
+  x &= 0xffffffffULL;
+  x = (x | (x << 16)) & 0x0000ffff0000ffffULL;
+  x = (x | (x << 8)) & 0x00ff00ff00ff00ffULL;
+  x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  x = (x | (x << 2)) & 0x3333333333333333ULL;
+  return (x | (x << 1)) & 0x5555555555555555ULL;
+}
+
+// Gathers the even bit positions of x into the low 32 bits.
+std::uint64_t gather_even(std::uint64_t x) noexcept {
+  x &= 0x5555555555555555ULL;
+  x = (x | (x >> 1)) & 0x3333333333333333ULL;
+  x = (x | (x >> 2)) & 0x0f0f0f0f0f0f0f0fULL;
+  x = (x | (x >> 4)) & 0x00ff00ff00ff00ffULL;
+  x = (x | (x >> 8)) & 0x0000ffff0000ffffULL;
+  return (x | (x >> 16)) & 0xffffffffULL;
+}
+
+// Opening frames carry gate i's (d_i, e_i) at bits (2i, 2i + 1). Writes
+// `lanes` gates' d and e words, starting at gate `first` (a multiple of 64,
+// so the frame offset is byte-aligned).
+void store_interleaved(std::vector<std::uint8_t>& frame, std::uint64_t first,
+                       std::uint64_t d, std::uint64_t e, unsigned lanes) {
+  const std::uint64_t lo = spread_even(d) | (spread_even(e) << 1);
+  const std::uint64_t hi = spread_even(d >> 32) | (spread_even(e >> 32) << 1);
+  store_packed_word(frame, 2 * first, lo, std::min(64u, 2 * lanes));
+  if (lanes > 32) store_packed_word(frame, 2 * first + 64, hi, 2 * lanes - 64);
+}
+
+// Inverse of store_interleaved: the (d, e) words of `lanes` gates.
+std::pair<std::uint64_t, std::uint64_t> load_interleaved(
+    const std::vector<std::uint8_t>& frame, std::uint64_t first,
+    unsigned lanes) {
+  const std::uint64_t lo =
+      load_packed_word(frame, 2 * first, std::min(64u, 2 * lanes));
+  const std::uint64_t hi =
+      lanes > 32 ? load_packed_word(frame, 2 * first + 64, 2 * lanes - 64)
+                 : 0;
+  return {gather_even(lo) | (gather_even(hi) << 32),
+          gather_even(lo >> 1) | (gather_even(hi >> 1) << 32)};
+}
 
 std::size_t session_index(const GmwSession& session, PartyId id) {
   const auto it =
@@ -73,7 +120,11 @@ std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
     triples.a = SecretBytes(r.read_bytes());
     triples.b = SecretBytes(r.read_bytes());
     triples.c = SecretBytes(r.read_bytes());
-    if (triples.count != n_triples) {
+    const std::size_t bytes = packed_size(n_triples);
+    if (triples.count != n_triples ||
+        triples.a.unwrap_for_wire().size() != bytes ||
+        triples.b.unwrap_for_wire().size() != bytes ||
+        triples.c.unwrap_for_wire().size() != bytes) {
       throw eppi::ProtocolError("GMW: triple batch size mismatch");
     }
   }
@@ -82,22 +133,22 @@ std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
   // share[w] = my XOR share of wire w once evaluated (tainted: wire shares
   // leave this vector only through masked/output openings).
   std::vector<SecretBit> share(circuit.n_wires());
-  std::vector<std::uint8_t> evaluated(circuit.n_wires(), 0);
 
-  // Input wires per session party, in declaration order.
-  std::vector<WireVec> inputs_by_party(n);
+  // Input bits per session party, in declaration order.
+  const auto& gates = circuit.gates();
+  std::vector<std::uint64_t> input_count(n, 0);
   for (const Wire w : circuit.inputs()) {
     const std::uint32_t owner = circuit.input_owner(w);
     require(owner < n, "GMW: input owner outside session");
-    inputs_by_party[owner].push_back(w);
+    ++input_count[owner];
   }
-  require(my_inputs.size() == inputs_by_party[me].size(),
+  require(my_inputs.size() == input_count[me],
           "GMW: wrong number of input bits supplied");
 
   {
     // Split my input bits into n XOR shares via the first-class primitive;
     // send one packed share buffer to the peer that is supposed to hold it.
-    const std::uint64_t mine = inputs_by_party[me].size();
+    const std::uint64_t mine = input_count[me];
     std::vector<std::uint8_t> packed_inputs(packed_size(mine), 0);
     for (std::uint64_t i = 0; i < mine; ++i) {
       set_packed_bit(packed_inputs, i, my_inputs[i]);
@@ -105,47 +156,36 @@ std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
     const auto out_shares =
         eppi::secret::split_xor_packed(packed_inputs, mine, n, ctx.rng());
     for (std::size_t p = 0; p < n; ++p) {
-      if (p == me) {
-        for (std::uint64_t i = 0; i < mine; ++i) {
-          const Wire w = inputs_by_party[me][i];
-          share[w] = SecretBit(
-              get_packed_bit(out_shares[me].unwrap_for_wire(), i));
-          evaluated[w] = 1;
-        }
-        continue;
-      }
-      if (mine == 0) continue;
+      if (p == me || mine == 0) continue;
       ctx.send(session.parties[p], MessageTag::kMpcInputShare,
                base + kSeqInputs, out_shares[p].unwrap_for_wire());
     }
+    // held[p]: my packed share of party p's input bits.
+    std::vector<std::vector<std::uint8_t>> received(n);
+    std::vector<const std::vector<std::uint8_t>*> held(n);
+    held[me] = &out_shares[me].unwrap_for_wire();
     for (std::size_t p = 0; p < n; ++p) {
-      if (p == me || inputs_by_party[p].empty()) continue;
-      const auto payload = ctx.recv(session.parties[p],
-                                    MessageTag::kMpcInputShare,
-                                    base + kSeqInputs);
-      if (payload.size() != packed_size(inputs_by_party[p].size())) {
+      if (p == me || input_count[p] == 0) continue;
+      received[p] = ctx.recv(session.parties[p], MessageTag::kMpcInputShare,
+                             base + kSeqInputs);
+      if (received[p].size() != packed_size(input_count[p])) {
         throw eppi::ProtocolError("GMW: bad input-share payload size");
       }
-      for (std::uint64_t i = 0; i < inputs_by_party[p].size(); ++i) {
-        const Wire w = inputs_by_party[p][i];
-        share[w] = SecretBit(get_packed_bit(payload, i));
-        evaluated[w] = 1;
-      }
+      held[p] = &received[p];
+    }
+    std::vector<std::uint64_t> cursor(n, 0);
+    for (const Wire w : circuit.inputs()) {
+      const std::uint32_t owner = gates[w].a;
+      share[w] = SecretBit(get_packed_bit(*held[owner], cursor[owner]++));
     }
     if (is_lead) ctx.mark_round();
   }
 
-  // --- Local evaluation helpers ----------------------------------------------
-  const auto& gates = circuit.gates();
-  std::size_t eval_cursor = 0;  // wires before this are all evaluated
-  const auto eval_up_to = [&](std::uint32_t layer_limit) {
-    for (std::size_t w = eval_cursor; w < gates.size(); ++w) {
-      if (evaluated[w]) continue;
-      if (circuit.layer(static_cast<Wire>(w)) > layer_limit) continue;
+  // --- Local evaluation of one schedule slot --------------------------------
+  const auto eval_local = [&](std::span<const Wire> wires) {
+    for (const Wire w : wires) {
       const Gate& g = gates[w];
       switch (g.op) {
-        case GateOp::kInput:
-          throw eppi::ProtocolError("GMW: unshared input wire");
         case GateOp::kConstZero:
           share[w] = SecretBit(false);
           break;
@@ -159,47 +199,45 @@ std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
           // Public constant enters through party 0's share only.
           share[w] = me == 0 ? (share[g.a] ^ true) : share[g.a];
           break;
+        case GateOp::kInput:
         case GateOp::kAnd:
-          // AND gates are evaluated by the round loop.
-          continue;
+          // Shared above / opened by the round loop; never in a local slot.
+          break;
       }
-      evaluated[w] = 1;
     }
-    // Advance the cursor past the fully-evaluated prefix.
-    while (eval_cursor < gates.size() && evaluated[eval_cursor]) ++eval_cursor;
   };
 
-  // Group AND gates by layer; triple indices follow wire order.
-  const auto depth = static_cast<std::uint32_t>(circuit.stats().and_depth);
-  std::vector<std::vector<Wire>> and_by_layer(depth + 1);
-  {
-    for (std::size_t w = 0; w < gates.size(); ++w) {
-      if (gates[w].op == GateOp::kAnd) {
-        and_by_layer[circuit.layer(static_cast<Wire>(w))].push_back(
-            static_cast<Wire>(w));
-      }
-    }
-  }
-  std::uint64_t triple_cursor = 0;
-
   // --- Round loop: one masked opening per AND layer ---------------------------
+  // Each layer is processed 64 gates at a time: gather the operand shares
+  // into lanes, mask and open them word-wide, and scatter the product
+  // shares back. Triples are consumed in schedule order, so layer r uses
+  // the contiguous range after layers 1..r-1.
+  const auto depth = static_cast<std::uint32_t>(circuit.stats().and_depth);
+  eval_local(circuit.local_layer(0));
+  std::uint64_t first_triple = 0;
   for (std::uint32_t layer = 1; layer <= depth; ++layer) {
-    eval_up_to(layer - 1);
-    const auto& layer_gates = and_by_layer[layer];
-    const std::uint64_t k = layer_gates.size();
-    const std::uint64_t first_triple = triple_cursor;
+    const std::span<const Wire> ands = circuit.and_layer(layer);
+    const std::uint64_t k = ands.size();
 
-    // My masked shares: 2 bits per gate (d_i, e_i). The masked share
-    // d = x ⊕ a stays secret until every party's contribution is XORed in;
-    // broadcasting it is the wire path of the masked-opening round.
+    // My masked shares: 2 bits per gate (d_i, e_i), interleaved. The masked
+    // share d = x ⊕ a stays secret until every party's contribution is
+    // XORed in; broadcasting it is the wire path of the masked-opening
+    // round.
     std::vector<std::uint8_t> masked(packed_size(2 * k), 0);
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const Gate& g = gates[layer_gates[i]];
-      const std::uint64_t t = first_triple + i;
-      const SecretBit d_share = share[g.a] ^ triples.a_bit(t);
-      const SecretBit e_share = share[g.b] ^ triples.b_bit(t);
-      set_packed_bit(masked, 2 * i, d_share.unwrap_for_wire());
-      set_packed_bit(masked, 2 * i + 1, e_share.unwrap_for_wire());
+    for (std::uint64_t g0 = 0; g0 < k; g0 += 64) {
+      const auto lanes =
+          static_cast<unsigned>(std::min<std::uint64_t>(64, k - g0));
+      SecretLanes x;
+      SecretLanes y;
+      for (unsigned i = 0; i < lanes; ++i) {
+        const Gate& g = gates[ands[g0 + i]];
+        x.set_lane(i, share[g.a]);
+        y.set_lane(i, share[g.b]);
+      }
+      const SecretLanes d_share = x ^ triples.a_lanes(first_triple + g0, lanes);
+      const SecretLanes e_share = y ^ triples.b_lanes(first_triple + g0, lanes);
+      store_interleaved(masked, g0, d_share.unwrap_for_wire().bits,
+                        e_share.unwrap_for_wire().bits, lanes);
     }
     for (std::size_t p = 0; p < n; ++p) {
       if (p == me) continue;
@@ -207,7 +245,7 @@ std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
                base + kSeqLayerBase + layer, masked);
     }
     // Opened (d, e) = XOR over all parties' masked shares.
-    std::vector<std::uint8_t> opened = masked;
+    std::vector<std::uint8_t> opened = std::move(masked);
     for (std::size_t p = 0; p < n; ++p) {
       if (p == me) continue;
       const auto payload = ctx.recv(session.parties[p], MessageTag::kMpcOpen,
@@ -219,28 +257,27 @@ std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
         opened[byte] ^= payload[byte];
       }
     }
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const Wire w = layer_gates[i];
-      const std::uint64_t t = first_triple + i;
+    for (std::uint64_t g0 = 0; g0 < k; g0 += 64) {
+      const auto lanes =
+          static_cast<unsigned>(std::min<std::uint64_t>(64, k - g0));
+      const std::uint64_t t = first_triple + g0;
       // d, e are public (fully opened); z stays a tainted share.
-      const bool d = get_packed_bit(opened, 2 * i);
-      const bool e = get_packed_bit(opened, 2 * i + 1);
-      SecretBit z = triples.c_bit(t) ^ (triples.b_bit(t) & d) ^
-                    (triples.a_bit(t) & e);
-      if (me == 0 && d && e) z = z ^ true;
-      share[w] = z;
-      evaluated[w] = 1;
+      const auto [d, e] = load_interleaved(opened, g0, lanes);
+      SecretLanes z = triples.c_lanes(t, lanes) ^
+                      (triples.b_lanes(t, lanes) & d) ^
+                      (triples.a_lanes(t, lanes) & e);
+      if (me == 0) z = z ^ (d & e);
+      for (unsigned i = 0; i < lanes; ++i) share[ands[g0 + i]] = z.lane(i);
     }
-    triple_cursor += k;
+    first_triple += k;
     if (is_lead) ctx.mark_round();
+    eval_local(circuit.local_layer(layer));
   }
-  eval_up_to(depth);
 
   // --- Output opening ----------------------------------------------------------
   const auto& outs = circuit.outputs();
   std::vector<std::uint8_t> out_shares(packed_size(outs.size()), 0);
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    require(evaluated[outs[i]] != 0, "GMW: output wire not evaluated");
     // Output opening: every party broadcasts its output-wire shares.
     set_packed_bit(out_shares, i, share[outs[i]].unwrap_for_wire());
   }

@@ -5,7 +5,10 @@
 // are evaluated locally, and each AND gate consumes one Beaver triple and one
 // masked opening. AND gates at the same AND-depth are batched into a single
 // communication round, so total online rounds = AND-depth + 3 (triple
-// delivery, input sharing, output opening).
+// delivery, input sharing, output opening). Evaluation walks the circuit's
+// compiled layer schedule (Circuit::local_layer / and_layer), so its cost
+// is proportional to the gate count; each AND layer is masked, opened and
+// multiplied 64 gates per word.
 //
 // The engine runs *inside* a net::Cluster: any subset of cluster parties can
 // form an MPC session (the ε-PPI constructor runs SecSumShare over all m

@@ -37,8 +37,20 @@
 
 namespace eppi {
 
+// 64 XOR-shared bits in one word, lane k in bit k: the GMW engine opens an
+// AND layer 64 gates at a time. A distinct payload type, so additive-share
+// ring ops and XOR-share lane ops never mix.
+struct BitLanes {
+  std::uint64_t bits = 0;
+};
+
 template <typename T>
 class [[nodiscard]] Secret {
+  // Lane ops move a SecretBit in or out of a Secret<BitLanes> without
+  // leaving the taint.
+  template <typename>
+  friend class Secret;
+
  public:
   // Default construction value-initializes the payload (share of zero);
   // needed so containers of shares can be sized before the protocol fills
@@ -147,12 +159,50 @@ class [[nodiscard]] Secret {
     return *this;
   }
 
+  // --- lane-wise XOR-sharing ops, for word-wide GMW layers -----------------
+
+  Secret operator^(const Secret& other) const
+    requires std::same_as<T, BitLanes>
+  {
+    return Secret(BitLanes{value_.bits ^ other.value_.bits});
+  }
+
+  // XOR with public lanes (apply on one party only for XOR shares).
+  Secret operator^(std::uint64_t plain) const
+    requires std::same_as<T, BitLanes>
+  {
+    return Secret(BitLanes{value_.bits ^ plain});
+  }
+
+  // AND with public lanes is linear, hence share-local.
+  Secret operator&(std::uint64_t plain) const
+    requires std::same_as<T, BitLanes>
+  {
+    return Secret(BitLanes{value_.bits & plain});
+  }
+
+  Secret<bool> lane(unsigned k) const
+    requires std::same_as<T, BitLanes>
+  {
+    return Secret<bool>(((value_.bits >> k) & 1) != 0);
+  }
+
+  // Sets lane k (k < 64) to `bit`.
+  void set_lane(unsigned k, const Secret<bool>& bit)
+    requires std::same_as<T, BitLanes>
+  {
+    const std::uint64_t mask = std::uint64_t{1} << k;
+    value_.bits = (value_.bits & ~mask) |
+                  (static_cast<std::uint64_t>(bit.value_) << k);
+  }
+
  private:
   T value_;
 };
 
 using SecretU64 = Secret<std::uint64_t>;
 using SecretBit = Secret<bool>;
+using SecretLanes = Secret<BitLanes>;
 // A packed XOR-share buffer (GMW wire shares, Beaver triple shares).
 using SecretBytes = Secret<std::vector<std::uint8_t>>;
 
@@ -196,6 +246,7 @@ namespace eppi::secret {
 using eppi::Secret;
 using eppi::SecretBit;
 using eppi::SecretBytes;
+using eppi::SecretLanes;
 using eppi::SecretU64;
 using eppi::reveal_shares;
 using eppi::wire_shares;

@@ -69,7 +69,7 @@ TEST(DeltaEpochTest, DeltaRebuildIsBitIdenticalToFullRebuild) {
 
   EXPECT_TRUE(delta.delta.delta);
   EXPECT_GE(delta.delta.recomputed, req.dirty.size());
-  EXPECT_EQ(delta.index.matrix(), reference.index.matrix());
+  EXPECT_EQ(delta.index->matrix(), reference.index->matrix());
   EXPECT_EQ(delta.churn, reference.churn);
 }
 
@@ -83,8 +83,8 @@ TEST(DeltaEpochTest, FirstEpochFallsBackToFullTransparently) {
   EXPECT_EQ(result.epoch, 1u);
 
   EpochManager reference(manager_options());
-  EXPECT_EQ(result.index.matrix(),
-            reference.rebuild(base_truth(), base_epsilons()).index.matrix());
+  EXPECT_EQ(result.index->matrix(),
+            reference.rebuild(base_truth(), base_epsilons()).index->matrix());
 }
 
 TEST(DeltaEpochTest, LeaveZeroesRowAndRejoinRestoresStickyNoise) {
@@ -107,13 +107,13 @@ TEST(DeltaEpochTest, LeaveZeroesRowAndRejoinRestoresStickyNoise) {
   const auto epoch2 = manager.rebuild_delta(truth2, eps, leave);
   EXPECT_EQ(manager.retired_count(), 1u);
   for (std::size_t j = 0; j < kN; ++j) {
-    EXPECT_FALSE(epoch2.index.matrix().get(2, j)) << "col " << j;
+    EXPECT_FALSE(epoch2.index->matrix().get(2, j)) << "col " << j;
   }
 
   // A later FULL rebuild must keep honoring the retirement.
   const auto epoch3 = manager.rebuild(truth2, eps);
   for (std::size_t j = 0; j < kN; ++j) {
-    EXPECT_FALSE(epoch3.index.matrix().get(2, j)) << "col " << j;
+    EXPECT_FALSE(epoch3.index->matrix().get(2, j)) << "col " << j;
   }
 
   // Rejoin with the original data: the published row must be byte-identical
@@ -124,8 +124,8 @@ TEST(DeltaEpochTest, LeaveZeroesRowAndRejoinRestoresStickyNoise) {
   const auto epoch4 = manager.rebuild_delta(base_truth(), eps, rejoin);
   EXPECT_EQ(manager.retired_count(), 0u);
   for (std::size_t j = 0; j < kN; ++j) {
-    EXPECT_EQ(epoch4.index.matrix().get(2, j),
-              epoch1.index.matrix().get(2, j))
+    EXPECT_EQ(epoch4.index->matrix().get(2, j),
+              epoch1.index->matrix().get(2, j))
         << "col " << j;
   }
 }
@@ -148,13 +148,13 @@ TEST(DeltaEpochTest, JoinGrowsShapeAndMatchesFullRebuild) {
     join.dirty.push_back(static_cast<IdentityId>(j));
   }
   const auto delta = incremental.rebuild_delta(truth2, eps, join);
-  EXPECT_EQ(delta.index.matrix().rows(), kM + 1);
+  EXPECT_EQ(delta.index->matrix().rows(), kM + 1);
   EXPECT_EQ(delta.delta.spliced_rows, 1u);
 
   EpochManager full(manager_options());
   full.rebuild(base_truth(), eps);
   const auto reference = full.rebuild(truth2, eps);
-  EXPECT_EQ(delta.index.matrix(), reference.index.matrix());
+  EXPECT_EQ(delta.index->matrix(), reference.index->matrix());
 }
 
 // --- LocatorService routing ------------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -101,6 +102,18 @@ void run_threads(const std::vector<std::function<void()>>& bodies) {
   }
 }
 
+// Holds a writer until `ready()` (the readers are running), so its swaps
+// overlap reads however fast a rebuild is. Bounded: a reader that fails
+// its first query rethrows from run_threads instead of hanging the writer.
+template <typename Ready>
+void wait_until(Ready ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
 // N readers hammer single queries while the writer swaps >= 100 epochs;
 // every answer must match one of the two reachable epochs, epochs may never
 // run backwards for any single reader, and no reader may ever be
@@ -120,6 +133,7 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossEpochSwaps) {
 
   std::vector<std::function<void()>> bodies;
   bodies.push_back([&] {  // writer
+    wait_until([&] { return answered.load() >= kReaders; });
     for (std::size_t k = 0; k < kSwaps; ++k) {
       const double eps = (k % 2 == 0) ? kHighEps : kLowEps;
       service.delegate(owner_name(0), eps, provider_name(0));
@@ -171,6 +185,7 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossDeltaSplices) {
 
   std::vector<std::function<void()>> bodies;
   bodies.push_back([&] {  // writer
+    wait_until([&] { return answered.load() >= kReaders; });
     for (std::size_t k = 0; k < kSplices; ++k) {
       const double eps = (k % 2 == 0) ? kHighEps : kLowEps;
       service.delegate(owner_name(0), eps, provider_name(0));
@@ -213,6 +228,7 @@ TEST(ServingConcurrencyTest, BatchNeverMixesEpochs) {
 
   std::vector<std::function<void()>> bodies;
   bodies.push_back([&] {  // writer
+    wait_until([&] { return service.metrics().batches >= 1; });
     for (std::size_t k = 0; k < kSwaps; ++k) {
       const double eps = (k % 2 == 0) ? kHighEps : kLowEps;
       service.delegate(owner_name(0), eps, provider_name(0));

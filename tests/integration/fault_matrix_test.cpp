@@ -210,7 +210,7 @@ TEST(FaultMatrixTest, EpochManagerServesPreviousIndexOnFailedRebuild) {
   EXPECT_TRUE(degraded.degraded);
   EXPECT_EQ(degraded.epoch, 1u);  // no new epoch
   EXPECT_FALSE(degraded.failure.empty());
-  EXPECT_EQ(degraded.index.matrix(), first.index.matrix());
+  EXPECT_EQ(degraded.index->matrix(), first.index->matrix());
   EXPECT_EQ(manager.failed_rebuilds(), 1u);
   EXPECT_EQ(manager.epochs_built(), 1u);
 

@@ -34,7 +34,7 @@ TEST(LifecycleTest, EvolvingNetworkStaysPrivateAcrossEpochs) {
     const auto result = manager.rebuild(net.membership, epsilons);
 
     // Invariants every epoch: recall, bounded churn, privacy audit.
-    EXPECT_TRUE(core::full_recall(net.membership, result.index.matrix()))
+    EXPECT_TRUE(core::full_recall(net.membership, result.index->matrix()))
         << "epoch " << epoch;
     if (epoch > 0) {
       // Churn stays in the same order as the ground-truth change (a few
@@ -48,7 +48,7 @@ TEST(LifecycleTest, EvolvingNetworkStaysPrivateAcrossEpochs) {
       common[j] = result.info.is_common[j];
     }
     const auto report =
-        attack::audit_index(net.membership, result.index.matrix(), epsilons,
+        attack::audit_index(net.membership, result.index->matrix(), epsilons,
                             common, audit_rng);
     EXPECT_EQ(report.primary_degree, attack::PrivacyDegree::kEpsPrivate)
         << "epoch " << epoch;

@@ -43,9 +43,9 @@ TEST_P(TripleSweep, TriplesSatisfyBeaverRelation) {
     bool c = false;
     // The test plays the dealer and every party, so opening is legitimate.
     for (const auto& s : shares) {
-      a ^= s.a_bit(i).reveal();
-      b ^= s.b_bit(i).reveal();
-      c ^= s.c_bit(i).reveal();
+      a ^= s.a_lanes(i, 1).lane(0).reveal();
+      b ^= s.b_lanes(i, 1).lane(0).reveal();
+      c ^= s.c_lanes(i, 1).lane(0).reveal();
     }
     ASSERT_EQ(c, a && b) << "triple " << i;
   }
@@ -59,7 +59,7 @@ TEST_P(TripleSweep, TripleBitsAreBalanced) {
   std::uint64_t a_ones = 0;
   for (std::uint64_t i = 0; i < kCount; ++i) {
     bool a = false;
-    for (const auto& s : shares) a ^= s.a_bit(i).reveal();
+    for (const auto& s : shares) a ^= s.a_lanes(i, 1).lane(0).reveal();
     a_ones += a ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(a_ones) / kCount, 0.5, 0.02);

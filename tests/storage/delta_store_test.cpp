@@ -222,7 +222,7 @@ TEST(DeltaStoreTest, CrashAtEveryOperationBoundary) {
     manager.attach_store(store);
     const auto rebuilt =
         manager.rebuild_delta(truth_epoch3(), epsilons, request_epoch3());
-    EXPECT_EQ(index_bytes(rebuilt.index), reference[2]);
+    EXPECT_EQ(index_bytes(*rebuilt.index), reference[2]);
   }
 }
 
@@ -275,7 +275,7 @@ TEST(DeltaStoreTest, JournaledMembershipSurvivesRestart) {
   const std::vector<double> epsilons(12, 0.5);
   const auto rebuilt = manager.rebuild(truth_epoch3(), epsilons);
   for (std::size_t j = 0; j < 12; ++j) {
-    EXPECT_FALSE(rebuilt.index.matrix().get(3, j)) << "col " << j;
+    EXPECT_FALSE(rebuilt.index->matrix().get(3, j)) << "col " << j;
   }
 }
 

@@ -44,7 +44,7 @@ TEST(DurableServiceTest, StoredStickyKeyBeatsConfiguredKey) {
     options.master_key = 1111;
     EpochManager manager(options);
     manager.attach_store(store);
-    first_published = manager.rebuild(small_truth(), epsilons).index.matrix();
+    first_published = manager.rebuild(small_truth(), epsilons).index->matrix();
   }
   vfs.crash();
 
@@ -57,7 +57,7 @@ TEST(DurableServiceTest, StoredStickyKeyBeatsConfiguredKey) {
   EpochManager manager(options);
   manager.attach_store(store);
   const auto rebuilt = manager.rebuild(small_truth(), epsilons);
-  EXPECT_EQ(rebuilt.index.matrix(), first_published);
+  EXPECT_EQ(rebuilt.index->matrix(), first_published);
   EXPECT_EQ(rebuilt.churn, 0u);  // nothing changed, so nothing may churn
 }
 
@@ -70,7 +70,7 @@ TEST(DurableServiceTest, ManagerResumesServingAndEpochNumbering) {
     EpochManager manager;
     manager.attach_store(store);
     (void)manager.rebuild(small_truth(), epsilons);
-    published = manager.rebuild(small_truth(), epsilons).index.matrix();
+    published = manager.rebuild(small_truth(), epsilons).index->matrix();
   }
   vfs.crash();
 

@@ -112,7 +112,7 @@ void check_recovery(MemVfs& vfs, const std::vector<std::uint8_t>& reference) {
   manager.attach_store(store);
   const std::vector<double> epsilons(12, 0.5);
   const auto rebuilt = manager.rebuild(truth_epoch2(), epsilons);
-  EXPECT_EQ(index_bytes(rebuilt.index), reference);
+  EXPECT_EQ(index_bytes(*rebuilt.index), reference);
 
   // And what was just committed is durable: power-cycle once more.
   vfs.crash();
