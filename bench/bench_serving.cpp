@@ -116,7 +116,19 @@ struct ThreadedResult {
   std::uint64_t owners_resolved = 0;
 };
 
-std::string owner_name(std::size_t j) { return "o" + std::to_string(j); }
+// Built by appending: GCC 12 warns (-Wrestrict, a false positive) on
+// `"o" + std::to_string(j)`.
+std::string owner_name(std::size_t j) {
+  std::string name = "o";
+  name += std::to_string(j);
+  return name;
+}
+
+std::string provider_name(std::size_t i) {
+  std::string name = "p";
+  name += std::to_string(i);
+  return name;
+}
 
 void populate_service(eppi::core::LocatorService& service,
                       const ServeConfig& cfg, std::uint64_t seed) {
@@ -128,7 +140,7 @@ void populate_service(eppi::core::LocatorService& service,
   for (std::size_t i = 0; i < cfg.providers; ++i) {
     for (std::size_t j = 0; j < cfg.owners; ++j) {
       if (net.membership.get(i, j)) {
-        service.delegate(owner_name(j), 0.5, "p" + std::to_string(i));
+        service.delegate(owner_name(j), 0.5, provider_name(i));
       }
     }
   }

@@ -141,42 +141,53 @@ ConstructionPartyResult run_construction_party(
 
   OpenedMix opened;
   if (coordinator) {
+    // The GMW backend runs each stage's lane form (one identity per bit
+    // lane); the garbled backend, two-party, runs the scalar circuits.
+    const bool garbled = options.backend == MpcBackend::kGarbled;
+    const auto run_garbled = [&](const eppi::mpc::Circuit& circuit,
+                                 const std::vector<bool>& bits,
+                                 std::uint64_t seq_base) {
+      eppi::mpc::GarbledSession yao;
+      yao.garbler = 0;
+      yao.evaluator = 1;
+      yao.seq_base = seq_base;
+      return eppi::mpc::run_garbled_party(ctx, yao, circuit, bits);
+    };
+    const auto run_gmw = [&](const eppi::mpc::LaneCircuits& lc,
+                             const std::vector<bool>& bits,
+                             std::uint64_t seq_base) {
+      eppi::mpc::GmwSession gmw;
+      for (std::size_t i = 0; i < options.c; ++i) {
+        gmw.parties.push_back(static_cast<PartyId>(i));
+      }
+      gmw.seq_base = seq_base;
+      return eppi::mpc::run_gmw_party(ctx, gmw, lc.groups(), bits,
+                                      lc.tail_circuit());
+    };
+
+    // Phase 1.2a: CountBelow. Each form is freed once its run returns, so
+    // the two stages' circuits are never alive together; only the stats
+    // outlive them.
     eppi::mpc::CountBelowSpec cb_spec;
     cb_spec.c = options.c;
     cb_spec.q = ring.q();
     cb_spec.thresholds.assign(thresholds.begin(), thresholds.end());
     cb_spec.xi_ranks = er.ranks;
-    // Freed once its run returns, so the two circuits are never alive
-    // together; only its stats outlive it.
-    std::optional<eppi::mpc::Circuit> cb_circuit =
-        eppi::mpc::build_count_below_circuit(cb_spec);
-    const eppi::mpc::CircuitStats cb_stats = cb_circuit->stats();
-
-    eppi::mpc::GmwSession session;
-    for (std::size_t i = 0; i < options.c; ++i) {
-      session.parties.push_back(static_cast<PartyId>(i));
-    }
-    const auto run_secure = [&](const eppi::mpc::Circuit& circuit,
-                                const std::vector<bool>& bits,
-                                std::uint64_t seq_base) {
-      if (options.backend == MpcBackend::kGarbled) {
-        eppi::mpc::GarbledSession yao;
-        yao.garbler = 0;
-        yao.evaluator = 1;
-        yao.seq_base = seq_base;
-        return eppi::mpc::run_garbled_party(ctx, yao, circuit, bits);
-      }
-      eppi::mpc::GmwSession gmw = session;
-      gmw.seq_base = seq_base;
-      return eppi::mpc::run_gmw_party(ctx, gmw, circuit, bits);
-    };
-
-    // Phase 1.2a: CountBelow.
+    eppi::mpc::CircuitStats cb_stats;
+    std::vector<bool> cb_out;
     std::optional<eppi::net::PhaseSpan> phase;
     phase.emplace(ctx, "phase:count_below");
-    const auto cb_bits = eppi::mpc::share_input_bits(*my_shares, width);
-    const auto cb_out = run_secure(*cb_circuit, cb_bits, 0);
-    cb_circuit.reset();
+    if (garbled) {
+      const auto circuit = eppi::mpc::build_count_below_circuit(cb_spec);
+      cb_stats = circuit.stats();
+      cb_out = run_garbled(circuit,
+                           eppi::mpc::share_input_bits(*my_shares, width), 0);
+    } else {
+      const auto lc = eppi::mpc::build_count_below_lanes(cb_spec);
+      cb_stats = lc.stats();
+      cb_out = run_gmw(lc, eppi::mpc::lane_input_bits(lc, *my_shares, width),
+                       0);
+    }
     const auto counted = eppi::mpc::decode_count_below(cb_spec, cb_out);
     phase->span().attr("common_count", counted.common_count);
     phase.reset();
@@ -195,20 +206,40 @@ ConstructionPartyResult run_construction_party(
     mr_spec.thresholds = cb_spec.thresholds;
     mr_spec.lambda = lambda;
     mr_spec.coin_bits = options.coin_bits;
-    const auto mr_circuit = eppi::mpc::build_mix_reveal_circuit(mr_spec);
-
+    eppi::mpc::CircuitStats mr_stats;
+    std::vector<eppi::mpc::MixRevealResult> results;
+    // This party's coin input per identity: the low coin_bits bits of one
+    // draw.
+    const auto draw_coins = [&] {
+      const std::uint64_t mask = (std::uint64_t{1} << options.coin_bits) - 1;
+      std::vector<std::uint64_t> coins(n);
+      for (std::uint64_t& coin : coins) coin = ctx.rng().next() & mask;
+      return coins;
+    };
     phase.emplace(ctx, "phase:mix_reveal");
     phase->span().attr("lambda", lambda);
-    std::vector<bool> mr_bits = eppi::mpc::share_input_bits(*my_shares, width);
-    mr_bits.reserve(mr_bits.size() + n * options.coin_bits);
-    for (std::size_t j = 0; j < n; ++j) {
-      for (unsigned b = 0; b < options.coin_bits; ++b) {
-        mr_bits.push_back(ctx.rng().bernoulli(0.5));
+    if (garbled) {
+      const auto circuit = eppi::mpc::build_mix_reveal_circuit(mr_spec);
+      mr_stats = circuit.stats();
+      std::vector<bool> bits = eppi::mpc::share_input_bits(*my_shares, width);
+      for (const std::uint64_t coin : draw_coins()) {
+        for (unsigned b = 0; b < options.coin_bits; ++b) {
+          bits.push_back(((coin >> b) & 1) != 0);
+        }
       }
+      results = eppi::mpc::decode_mix_reveal(
+          mr_spec, run_garbled(circuit, bits,
+                               eppi::mpc::GmwSession::kSeqStride));
+    } else {
+      const auto lc = eppi::mpc::build_mix_reveal_lanes(mr_spec);
+      mr_stats = lc.stats();
+      const auto bits = eppi::mpc::lane_input_bits(lc, *my_shares, width,
+                                                   draw_coins(),
+                                                   options.coin_bits);
+      results = eppi::mpc::decode_mix_reveal(
+          mr_spec, lc,
+          run_gmw(lc, bits, eppi::mpc::GmwSession::kSeqStride));
     }
-    const auto mr_out =
-        run_secure(mr_circuit, mr_bits, eppi::mpc::GmwSession::kSeqStride);
-    const auto results = eppi::mpc::decode_mix_reveal(mr_spec, mr_out);
     phase.reset();
 
     opened.mixed.resize(n);
@@ -225,7 +256,7 @@ ConstructionPartyResult run_construction_party(
     view.xi = xi;
     view.lambda = lambda;
     view.count_below_stats = cb_stats;
-    view.mix_reveal_stats = mr_circuit.stats();
+    view.mix_reveal_stats = mr_stats;
     result.coordinator = std::move(view);
 
     if (me == 0) {

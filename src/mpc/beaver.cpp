@@ -2,16 +2,29 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace eppi::mpc {
 
 std::uint64_t load_packed_word(const std::vector<std::uint8_t>& v,
                                std::uint64_t first, unsigned n) noexcept {
+  const auto byte = static_cast<std::size_t>(first / 8);
+  const auto offset = static_cast<unsigned>(first % 8);
+  if (std::endian::native == std::endian::little && n > 0 &&
+      byte + 8 <= v.size()) {
+    // One unaligned word load, plus the ninth byte when the range spills.
+    std::uint64_t word;
+    std::memcpy(&word, v.data() + byte, 8);
+    word >>= offset;
+    if (offset + n > 64) word |= std::uint64_t{v[byte + 8]} << (64 - offset);
+    return n == 64 ? word : word & ((std::uint64_t{1} << n) - 1);
+  }
   std::uint64_t word = 0;
   for (unsigned got = 0; got < n;) {
-    const unsigned offset = static_cast<unsigned>(first % 8);
-    const unsigned take = std::min(8 - offset, n - got);
-    const unsigned bits = (v[first / 8] >> offset) & ((1u << take) - 1);
+    const unsigned off = static_cast<unsigned>(first % 8);
+    const unsigned take = std::min(8 - off, n - got);
+    const unsigned bits = (v[first / 8] >> off) & ((1u << take) - 1);
     word |= static_cast<std::uint64_t>(bits) << got;
     got += take;
     first += take;
@@ -21,6 +34,11 @@ std::uint64_t load_packed_word(const std::vector<std::uint8_t>& v,
 
 void store_packed_word(std::vector<std::uint8_t>& v, std::uint64_t first,
                        std::uint64_t word, unsigned n) noexcept {
+  if (std::endian::native == std::endian::little && n == 64 &&
+      first % 8 == 0) {
+    std::memcpy(v.data() + first / 8, &word, 8);
+    return;
+  }
   while (n > 0) {
     const unsigned offset = static_cast<unsigned>(first % 8);
     const unsigned take = std::min(8 - offset, n);
@@ -42,29 +60,23 @@ std::vector<TripleShares> deal_triples(std::size_t n_parties,
   for (auto& party : raw) {
     for (auto& buf : party) buf.assign(bytes, 0);
   }
-  // One fair coin per draw: top bit clear, the outcome of bernoulli(0.5).
-  const auto coin = [&rng] { return ~rng.next() >> 63; };
-  // (a, b, c) lane words of one 64-triple block, per party.
   std::vector<std::array<std::uint64_t, 3>> block(n_parties);
   for (std::uint64_t base = 0; base < count; base += 64) {
     const auto lanes = static_cast<unsigned>(std::min<std::uint64_t>(
         64, count - base));
-    for (auto& words : block) words = {};
-    for (unsigned k = 0; k < lanes; ++k) {
-      const std::uint64_t a = coin();
-      const std::uint64_t b = coin();
-      std::array<std::uint64_t, 3> last{a, b, a & b};
-      for (std::size_t p = 0; p + 1 < n_parties; ++p) {
-        for (std::size_t part = 0; part < 3; ++part) {
-          const std::uint64_t s = coin();
-          block[p][part] |= s << k;
-          last[part] ^= s;
-        }
-      }
+    const std::uint64_t mask =
+        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    // One draw per 64 triple bits: the a and b words, then each share word.
+    const std::uint64_t a = rng.next() & mask;
+    const std::uint64_t b = rng.next() & mask;
+    std::array<std::uint64_t, 3> last{a, b, a & b};
+    for (std::size_t p = 0; p + 1 < n_parties; ++p) {
       for (std::size_t part = 0; part < 3; ++part) {
-        block[n_parties - 1][part] |= last[part] << k;
+        block[p][part] = rng.next() & mask;
+        last[part] ^= block[p][part];
       }
     }
+    block[n_parties - 1] = last;
     for (std::size_t p = 0; p < n_parties; ++p) {
       for (std::size_t part = 0; part < 3; ++part) {
         store_packed_word(raw[p][part], base, block[p][part], lanes);

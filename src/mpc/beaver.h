@@ -85,10 +85,11 @@ struct TripleShares {
 // every triple index, XOR of a-shares & XOR of b-shares == XOR of c-shares.
 //
 // Draw order (pinned: party 0 deals with its own Rng, whose later draws
-// feed the MixAndReveal coins): per triple, one Rng::next() per bit — a,
-// b, then the a, b, c shares of parties 0..n-2 — where a bit is 1 iff the
-// draw's top bit is 0, i.e. exactly Rng::bernoulli(0.5). The last party's
-// shares close the XOR sums. Bits are packed a word at a time.
+// feed the MixAndReveal coins): per block of 64 triples (the last block may
+// be shorter), one Rng::next() per word — the a word, the b word, then the
+// a, b and c share words of parties 0..n-2; triple base + k takes bit k of
+// each word, and the bits past a short block are dropped. The last party's
+// shares close the XOR sums.
 std::vector<TripleShares> deal_triples(std::size_t n_parties,
                                        std::uint64_t count, eppi::Rng& rng);
 

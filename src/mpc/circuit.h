@@ -99,4 +99,19 @@ class Circuit {
   std::vector<std::uint32_t> slot_offsets_;
 };
 
+// A template circuit evaluated on `lanes` independent instances at once, one
+// per bit lane: lane l of every wire belongs to instance l. A scalar circuit
+// is one group with one lane.
+struct CircuitGroup {
+  const Circuit* circuit = nullptr;
+  std::uint64_t lanes = 1;
+};
+
+// Totals of a lane program: the groups' gates and input wires times their
+// lanes, then the tail's gates (its input wires take the groups' outputs,
+// so they are not inputs of the program). The AND-depth is the deepest
+// group's plus the tail's, since the tail starts when every group is done.
+CircuitStats combined_stats(std::span<const CircuitGroup> groups,
+                            const Circuit* tail = nullptr);
+
 }  // namespace eppi::mpc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -144,28 +145,30 @@ WireVec CircuitBuilder::add_trunc(const WireVec& a, const WireVec& b) {
 }
 
 WireVec CircuitBuilder::add_expand(const WireVec& a, const WireVec& b) {
-  return add_expand_to(a, b,
-                       static_cast<unsigned>(std::max(a.size(), b.size())));
+  const auto width = static_cast<unsigned>(std::max(a.size(), b.size()));
+  WireVec out;
+  out.reserve(width + 1);
+  add_expand_into(a, b, width, out);
+  return out;
 }
 
-WireVec CircuitBuilder::add_expand_to(const WireVec& a, const WireVec& b,
-                                      unsigned width) {
+void CircuitBuilder::add_expand_into(std::span<const Wire> a,
+                                     std::span<const Wire> b, unsigned width,
+                                     WireVec& out) {
   const Wire zero_wire = zero();
-  const auto bit = [&](const WireVec& v, unsigned i) {
+  const auto bit = [&](std::span<const Wire> v, unsigned i) {
     return i < v.size() ? v[i] : zero_wire;
   };
-  WireVec out(width + 1);
   Wire carry = zero_wire;
   for (unsigned i = 0; i < width; ++i) {
     // Full adder: sum = a^b^c; carry' = (a&b) ^ (c & (a^b)).
     const Wire ai = bit(a, i);
     const Wire bi = bit(b, i);
     const Wire axb = Xor(ai, bi);
-    out[i] = Xor(axb, carry);
+    out.push_back(Xor(axb, carry));
     carry = Xor(And(ai, bi), And(carry, axb));
   }
-  out[width] = carry;
-  return out;
+  out.push_back(carry);
 }
 
 WireVec CircuitBuilder::add_mod(const WireVec& a, const WireVec& b,
@@ -175,7 +178,9 @@ WireVec CircuitBuilder::add_mod(const WireVec& a, const WireVec& b,
   require(a.size() <= width && b.size() <= width,
           "CircuitBuilder: add_mod operand wider than the ring");
   // t = a + b (width+1 bits).
-  auto t = add_expand_to(a, b, width);
+  WireVec t;
+  t.reserve(width + 1);
+  add_expand_into(a, b, width, t);
   if (std::has_single_bit(q)) {
     // Power-of-two modulus: truncation is the reduction.
     t.resize(width);
@@ -233,25 +238,53 @@ Wire CircuitBuilder::eq_const(const WireVec& a, std::uint64_t t) {
 
 WireVec CircuitBuilder::popcount(std::span<const Wire> bits) {
   if (bits.empty()) return constant_bits(0, 1);
-  std::vector<WireVec> values;
-  values.reserve(bits.size());
-  for (const Wire b : bits) values.push_back(WireVec{b});
-  return sum_tree(std::move(values));
+  std::vector<std::size_t> ends(bits.size());
+  std::iota(ends.begin(), ends.end(), std::size_t{1});
+  return sum_runs(WireVec(bits.begin(), bits.end()), std::move(ends));
 }
 
 WireVec CircuitBuilder::sum_tree(std::vector<WireVec> values) {
   require(!values.empty(), "CircuitBuilder: sum_tree of nothing");
-  // Balanced binary reduction keeps both size and depth logarithmic.
-  while (values.size() > 1) {
-    std::vector<WireVec> next;
-    next.reserve((values.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < values.size(); i += 2) {
-      next.push_back(add_expand(values[i], values[i + 1]));
-    }
-    if (values.size() % 2 == 1) next.push_back(std::move(values.back()));
-    values = std::move(next);
+  WireVec wires;
+  std::vector<std::size_t> ends;
+  for (const WireVec& v : values) {
+    wires.insert(wires.end(), v.begin(), v.end());
+    ends.push_back(wires.size());
   }
-  return values[0];
+  return sum_runs(std::move(wires), std::move(ends));
+}
+
+WireVec CircuitBuilder::sum_runs(WireVec wires, std::vector<std::size_t> ends) {
+  // Balanced binary reduction keeps both size and depth logarithmic: each
+  // level adds neighbouring values pairwise (an odd last value moves up
+  // unchanged). Value k of a level is wires[ends[k - 1], ends[k]).
+  const auto run = [](const WireVec& w, const std::vector<std::size_t>& e,
+                      std::size_t k) {
+    const std::size_t begin = k == 0 ? 0 : e[k - 1];
+    return std::span<const Wire>(w).subspan(begin, e[k] - begin);
+  };
+  while (ends.size() > 1) {
+    WireVec next;
+    next.reserve(wires.size() + ends.size());
+    std::vector<std::size_t> next_ends;
+    next_ends.reserve((ends.size() + 1) / 2);
+    for (std::size_t k = 0; k + 1 < ends.size(); k += 2) {
+      const auto a = run(wires, ends, k);
+      const auto b = run(wires, ends, k + 1);
+      add_expand_into(a, b,
+                      static_cast<unsigned>(std::max(a.size(), b.size())),
+                      next);
+      next_ends.push_back(next.size());
+    }
+    if (ends.size() % 2 == 1) {
+      const auto last = run(wires, ends, ends.size() - 1);
+      next.insert(next.end(), last.begin(), last.end());
+      next_ends.push_back(next.size());
+    }
+    wires = std::move(next);
+    ends = std::move(next_ends);
+  }
+  return wires;
 }
 
 WireVec CircuitBuilder::mux_vec(Wire sel, const WireVec& a, const WireVec& b) {

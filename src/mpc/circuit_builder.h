@@ -81,9 +81,12 @@ class CircuitBuilder {
   Wire append(GateOp op, Wire a, Wire b);
   // Build-time constant value of a wire, if known.
   std::optional<bool> const_of(Wire w) const;
-  // a + b over `width` bits, missing high bits of a or b read as zero; the
-  // carry out is bit `width` of the result.
-  WireVec add_expand_to(const WireVec& a, const WireVec& b, unsigned width);
+  // Appends a + b over `width` bits to `out`, missing high bits of a or b
+  // read as zero; the carry out is the last of the width + 1 wires.
+  void add_expand_into(std::span<const Wire> a, std::span<const Wire> b,
+                       unsigned width, WireVec& out);
+  // sum_tree over the values wires[ends[k - 1], ends[k]) (ends[-1] = 0).
+  WireVec sum_runs(WireVec wires, std::vector<std::size_t> ends);
 
   // Layer-schedule slot of a non-input gate (see Circuit::local_layer).
   static std::size_t slot_of(GateOp op, std::uint32_t layer) noexcept {

@@ -21,10 +21,16 @@
 //    bits inside one big circuit (frequency via popcount instead of a
 //    SecSumShare pre-stage), so circuit size and party count grow with m.
 //
-// All generators also have plain reference implementations used by tests.
+// CountBelow and MixAndReveal each come in two forms built from one
+// per-identity block and (CountBelow) one tail: the scalar circuit (every
+// identity's block, then the tail), used by the garbled backend, the Fig. 6
+// benches and plain_eval; and the lane form (LaneCircuits) the GMW engine
+// runs one identity per bit lane. All generators also have plain reference
+// implementations used by tests.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,9 +53,10 @@ struct CountBelowSpec {
   std::vector<std::uint64_t> thresholds; // t_j per identity, in [0, q)
   // Optional: public per-identity ranks (e.g. each identity's ε rank in the
   // sorted public ε list). When non-empty the circuit additionally outputs
-  // max over common identities of xi_ranks[j] — this is how the ε-PPI
-  // constructor obtains ξ = max ε over the (secret) common set without
-  // revealing which identities are common.
+  // max over common identities of xi_ranks[j] (0 when none is common) —
+  // this is how the ε-PPI constructor obtains ξ = max ε over the (secret)
+  // common set without revealing which identities are common. A priority
+  // encoder over the ranks in ascending order computes it.
   std::vector<std::uint64_t> xi_ranks;
 };
 
@@ -64,6 +71,8 @@ struct CountBelowOutput {
 // bit_width(max rank) bits.
 Circuit build_count_below_circuit(const CountBelowSpec& spec);
 
+// Decodes the opened outputs of either form (the lane form's tail has the
+// scalar circuit's outputs).
 CountBelowOutput decode_count_below(const CountBelowSpec& spec,
                                     const std::vector<bool>& output_bits);
 
@@ -71,6 +80,39 @@ CountBelowOutput decode_count_below(const CountBelowSpec& spec,
 CountBelowOutput plain_count_below(
     const CountBelowSpec& spec,
     std::span<const std::vector<std::uint64_t>> shares_per_party);
+
+// The lane form of a functionality, for run_gmw_party's lane programs: one
+// block template per distinct threshold (ascending), each evaluated on the
+// identities that share that threshold, one per bit lane. A block is the
+// scalar circuit's per-identity block, so a block's AND gates and layers
+// are exactly those of each of its identities in the scalar circuit.
+// CountBelow adds the tail (popcount and ξ encoder), whose input wires take
+// the blocks' common bits in (block, lane) order.
+struct LaneCircuits {
+  std::vector<Circuit> blocks;
+  // identities[g][l]: the identity on lane l of block g (ascending).
+  std::vector<std::vector<std::size_t>> identities;
+  std::optional<Circuit> tail;
+
+  // Points into `blocks`: valid while this object lives.
+  std::vector<CircuitGroup> groups() const;
+  const Circuit* tail_circuit() const noexcept {
+    return tail ? &*tail : nullptr;
+  }
+  CircuitStats stats() const;
+};
+
+LaneCircuits build_count_below_lanes(const CountBelowSpec& spec);
+
+// One party's lane-program input bits: block by block, each of the party's
+// `width` share bits and then its `coin_bits` coin bits (MixAndReveal; the
+// low bits of coins[j]), each for every lane in lane order — the order
+// run_gmw_party reads them. shares[j] is the party's share of identity j.
+std::vector<bool> lane_input_bits(const LaneCircuits& lc,
+                                  std::span<const eppi::SecretU64> shares,
+                                  unsigned width,
+                                  std::span<const std::uint64_t> coins = {},
+                                  unsigned coin_bits = 0);
 
 struct MixRevealSpec {
   std::size_t c = 3;
@@ -90,9 +132,15 @@ struct MixRevealResult {
   std::uint64_t frequency = 0; // opened S_j; 0 (hidden) when mixed
 };
 
-// Parses GMW output bits of a MixAndReveal circuit.
+LaneCircuits build_mix_reveal_lanes(const MixRevealSpec& spec);
+
+// Parses the opened output bits of a MixAndReveal circuit, or of its lane
+// form `lc`; results are in identity order either way.
 std::vector<MixRevealResult> decode_mix_reveal(
     const MixRevealSpec& spec, const std::vector<bool>& output_bits);
+std::vector<MixRevealResult> decode_mix_reveal(
+    const MixRevealSpec& spec, const LaneCircuits& lc,
+    const std::vector<bool>& output_bits);
 
 // Plain reference. rand_words[p][j] is party p's coin input for identity j
 // (low coin_bits bits used).

@@ -37,8 +37,8 @@
 
 namespace eppi {
 
-// 64 XOR-shared bits in one word, lane k in bit k: the GMW engine opens an
-// AND layer 64 gates at a time. A distinct payload type, so additive-share
+// 64 XOR-shared bits in one word, lane k in bit k: the GMW engine carries
+// wire shares and opens AND layers 64 bits at a time. A distinct payload type, so additive-share
 // ring ops and XOR-share lane ops never mix.
 struct BitLanes {
   std::uint64_t bits = 0;
@@ -46,11 +46,6 @@ struct BitLanes {
 
 template <typename T>
 class [[nodiscard]] Secret {
-  // Lane ops move a SecretBit in or out of a Secret<BitLanes> without
-  // leaving the taint.
-  template <typename>
-  friend class Secret;
-
  public:
   // Default construction value-initializes the payload (share of zero);
   // needed so containers of shares can be sized before the protocol fills
@@ -181,19 +176,24 @@ class [[nodiscard]] Secret {
     return Secret(BitLanes{value_.bits & plain});
   }
 
+  // Lane moves are share-local: lane k goes to lane k + s (k - s for >>),
+  // lanes shifted out are dropped and vacated lanes read 0. s < 64.
+  Secret operator<<(unsigned s) const
+    requires std::same_as<T, BitLanes>
+  {
+    return Secret(BitLanes{value_.bits << s});
+  }
+
+  Secret operator>>(unsigned s) const
+    requires std::same_as<T, BitLanes>
+  {
+    return Secret(BitLanes{value_.bits >> s});
+  }
+
   Secret<bool> lane(unsigned k) const
     requires std::same_as<T, BitLanes>
   {
     return Secret<bool>(((value_.bits >> k) & 1) != 0);
-  }
-
-  // Sets lane k (k < 64) to `bit`.
-  void set_lane(unsigned k, const Secret<bool>& bit)
-    requires std::same_as<T, BitLanes>
-  {
-    const std::uint64_t mask = std::uint64_t{1} << k;
-    value_.bits = (value_.bits & ~mask) |
-                  (static_cast<std::uint64_t>(bit.value_) << k);
   }
 
  private:

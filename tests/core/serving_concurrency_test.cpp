@@ -34,8 +34,18 @@ constexpr double kHighEps = 0.95;
 constexpr std::size_t kProviders = 12;
 constexpr std::size_t kOwners = 30;
 
-std::string owner_name(std::size_t j) { return "o" + std::to_string(j); }
-std::string provider_name(std::size_t i) { return "p" + std::to_string(i); }
+// Built by appending: GCC 12 warns (-Wrestrict, a false positive) on
+// `"o" + std::to_string(j)`.
+std::string owner_name(std::size_t j) {
+  std::string name = "o";
+  name += std::to_string(j);
+  return name;
+}
+std::string provider_name(std::size_t i) {
+  std::string name = "p";
+  name += std::to_string(i);
+  return name;
+}
 
 LocatorService::Options serve_options() {
   LocatorService::Options options;

@@ -29,8 +29,18 @@ using namespace std::chrono_literals;
 constexpr std::size_t kProviders = 5;
 constexpr std::size_t kOwners = 8;
 
-std::string prov(std::size_t i) { return "p" + std::to_string(i); }
-std::string owner(std::size_t j) { return "o" + std::to_string(j); }
+// Built by appending: GCC 12 warns (-Wrestrict, a false positive) on
+// `"p" + std::to_string(i)`.
+std::string prov(std::size_t i) {
+  std::string name = "p";
+  name += std::to_string(i);
+  return name;
+}
+std::string owner(std::size_t j) {
+  std::string name = "o";
+  name += std::to_string(j);
+  return name;
+}
 
 LocatorService::Options churn_options() {
   LocatorService::Options options;

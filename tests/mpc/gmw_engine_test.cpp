@@ -7,9 +7,12 @@
 //
 // Pinned half: the gate lists of the e-PPI circuits for fixed specs, and
 // distributed construction for three seeds (published matrix, betas, common
-// count, CostMeter totals and per-phase costs). The pins were recorded on the
-// scalar engine that predates the compiled layer schedule; an engine change
-// that moves any of them changes the protocol, not only its speed.
+// count, ξ, λ, CostMeter totals and per-phase costs). MixAndReveal, PureMpc,
+// CountBelow without ranks, ξ, λ, the common count and the SecSumShare and
+// MixAndReveal phase costs are the scalar engine's values; the rest were
+// re-pinned, value by value, when GMW moved to lane programs (see
+// CHANGES.md). An engine change that moves any of them changes the
+// protocol, not only its speed.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -260,28 +263,37 @@ TEST(GmwEngineTest, MixRevealMatchesPlainReference) {
 
 // --- dealer ------------------------------------------------------------------
 
-// The per-bit dealer the word-wide one must reproduce: one bernoulli(0.5)
-// draw per bit, triple value (a, b) first, then the (a, b, c) shares of
-// parties 0..n-2; the last party's shares close the XOR sums.
+// The dealer the word-wide one must reproduce, assembled one bit at a time:
+// per block of 64 triples one Rng::next() per word — a, b, then the (a, b,
+// c) share words of parties 0..n-2 — triple base + k taking bit k of each
+// word; the last party's shares close the XOR sums.
 std::vector<std::array<std::vector<std::uint8_t>, 3>> reference_deal(
     std::size_t n_parties, std::uint64_t count, eppi::Rng& rng) {
   std::vector<std::array<std::vector<std::uint8_t>, 3>> out(n_parties);
   for (auto& party : out) {
     for (auto& buf : party) buf.assign(packed_size(count), 0);
   }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const bool a = rng.bernoulli(0.5);
-    const bool b = rng.bernoulli(0.5);
-    bool acc[3] = {a, b, a && b};
-    for (std::size_t p = 0; p + 1 < n_parties; ++p) {
-      for (auto k = 0; k < 3; ++k) {
-        const bool s = rng.bernoulli(0.5);
-        set_packed_bit(out[p][k], i, s);
-        acc[k] ^= s;
-      }
+  for (std::uint64_t base = 0; base < count; base += 64) {
+    const std::uint64_t a = rng.next();
+    const std::uint64_t b = rng.next();
+    std::vector<std::array<std::uint64_t, 3>> words(n_parties - 1);
+    for (auto& party : words) {
+      for (auto& word : party) word = rng.next();
     }
-    for (auto k = 0; k < 3; ++k) {
-      set_packed_bit(out[n_parties - 1][k], i, acc[k]);
+    for (std::uint64_t k = 0; k < 64 && base + k < count; ++k) {
+      const bool ak = (a >> k) & 1;
+      const bool bk = (b >> k) & 1;
+      bool acc[3] = {ak, bk, ak && bk};
+      for (std::size_t p = 0; p + 1 < n_parties; ++p) {
+        for (auto part = 0; part < 3; ++part) {
+          const bool s = (words[p][part] >> k) & 1;
+          set_packed_bit(out[p][part], base + k, s);
+          acc[part] ^= s;
+        }
+      }
+      for (auto part = 0; part < 3; ++part) {
+        set_packed_bit(out[n_parties - 1][part], base + k, acc[part]);
+      }
     }
   }
   return out;
@@ -378,11 +390,19 @@ MixRevealSpec pinned_mix_reveal(std::uint64_t q) {
 
 TEST(GmwEnginePinnedTest, CircuitGateListsUnchanged) {
   // q = 16 is the workload's ring (power of two: add_mod truncates); q = 13
-  // takes add_mod's conditional-subtract path.
+  // takes add_mod's conditional-subtract path. CountBelow with ranks was
+  // re-pinned when the ξ max tree became a priority encoder; without ranks
+  // (every identity's block, then the popcount) it is unchanged.
   EXPECT_EQ(gate_list_hash(build_count_below_circuit(pinned_count_below(16))),
-            0xb2fd8ff415c0cf69ULL);
+            0xc8b937ec3b98885fULL);
   EXPECT_EQ(gate_list_hash(build_count_below_circuit(pinned_count_below(13))),
-            0xa7413d1e16b9f5a2ULL);
+            0xbde8dcf88110a3edULL);
+  for (const auto& [q, hash] : {std::pair{16u, 0x9a401068db0368c3ULL},
+                               std::pair{13u, 0x9f67d835228fac37ULL}}) {
+    CountBelowSpec spec = pinned_count_below(q);
+    spec.xi_ranks.clear();
+    EXPECT_EQ(gate_list_hash(build_count_below_circuit(spec)), hash) << q;
+  }
   EXPECT_EQ(gate_list_hash(build_mix_reveal_circuit(pinned_mix_reveal(16))),
             0x28b6b381f9b24df0ULL);
   EXPECT_EQ(gate_list_hash(build_mix_reveal_circuit(pinned_mix_reveal(13))),
@@ -409,25 +429,42 @@ std::uint64_t span_u64(const eppi::obs::SpanEvent& ev, std::string_view key) {
   return 0;
 }
 
+struct PhaseCost {
+  std::uint64_t bytes;
+  std::uint64_t messages;
+  std::uint64_t rounds;
+};
+
 struct ConstructPin {
   std::uint64_t seed;
+  // Re-pinned when the engine moved to lane programs (CountBelow's circuit,
+  // the dealer's draws and with them party 0's coin stream changed).
   std::uint64_t matrix_hash;
   std::uint64_t betas_hash;
-  std::uint64_t common_count;
   std::uint64_t messages;
   std::uint64_t bytes;
   std::uint64_t rounds;
   std::uint64_t phase_hash;  // (name, bytes, messages, rounds) per phase span
+  // Unchanged since the scalar engine: what CountBelow opens, and the cost
+  // of the stages whose circuits and frame sizes stayed the same.
+  std::uint64_t common_count;
+  double xi;
+  double lambda;
+  PhaseCost secsum;
+  PhaseCost mix_reveal;
 };
 
 TEST(GmwEnginePinnedTest, DistributedConstructionUnchanged) {
   const ConstructPin pins[] = {
-      {1, 0x5da362624b23c5aaULL, 0xb6486ea21965d491ULL, 376, 1107, 720368, 184,
-       0x95a0bedfe49d5289ULL},
-      {2, 0x30bde7938f9b4a41ULL, 0x7362247ccf194c7ULL, 357, 1107, 720290, 184,
-       0xbff6605fa5526babULL},
-      {3, 0x6c25dd997e6d4d60ULL, 0xa23b6cd6bcd366f3ULL, 378, 1119, 734402, 186,
-       0xe064e628918fec19ULL},
+      {1, 0x01241255513d521dULL, 0x7c4504517a56cb8dULL, 243, 548960, 40,
+       0x01d6d326dfee0960ULL, 376, 0x1.4c7372e223c31p-1,
+       0x1.0fafd14d7f83fp-2, {72624, 24, 2}, {290550, 104, 18}},
+      {2, 0x4758444d064c319dULL, 0x202bb6372694445eULL, 243, 548834, 40,
+       0x95ad755d624ea04eULL, 357, 0x1.4cc60f9c610e2p-1,
+       0x1.00d04e282c4d3p-2, {72624, 24, 2}, {290490, 104, 18}},
+      {3, 0x1a55af2e13cade5fULL, 0x3de86c9235ad0881ULL, 255, 562904, 42,
+       0xe513236cd1597c0aULL, 378, 0x1.4c8da07d2aa5ap-1,
+       0x1.1194852ac44a9p-2, {72624, 24, 2}, {304416, 116, 20}},
   };
   for (const ConstructPin& pin : pins) {
     eppi::Rng rng(pin.seed);
@@ -485,12 +522,22 @@ TEST(GmwEnginePinnedTest, DistributedConstructionUnchanged) {
       phases.add(sum.bytes);
       phases.add(sum.messages);
       phases.add(sum.rounds);
+      const PhaseCost* same = name == "phase:secsum"       ? &pin.secsum
+                              : name == "phase:mix_reveal" ? &pin.mix_reveal
+                                                           : nullptr;
+      if (same != nullptr) {
+        EXPECT_EQ(sum.bytes, same->bytes) << name << " seed " << pin.seed;
+        EXPECT_EQ(sum.messages, same->messages) << name << " seed " << pin.seed;
+        EXPECT_EQ(sum.rounds, same->rounds) << name << " seed " << pin.seed;
+      }
     }
     const CostSnapshot& cost = result.report.total_cost;
     EXPECT_EQ(matrix.value(), pin.matrix_hash) << "seed " << pin.seed;
     EXPECT_EQ(betas.value(), pin.betas_hash) << "seed " << pin.seed;
     EXPECT_EQ(result.report.common_count, pin.common_count)
         << "seed " << pin.seed;
+    EXPECT_EQ(result.report.xi, pin.xi) << "seed " << pin.seed;
+    EXPECT_EQ(result.report.lambda, pin.lambda) << "seed " << pin.seed;
     EXPECT_EQ(cost.messages, pin.messages) << "seed " << pin.seed;
     EXPECT_EQ(cost.bytes, pin.bytes) << "seed " << pin.seed;
     EXPECT_EQ(cost.rounds, pin.rounds) << "seed " << pin.seed;

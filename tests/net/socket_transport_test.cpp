@@ -9,15 +9,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "common/error.h"
 #include "core/construction_party.h"
 #include "core/publisher.h"
+#include "dataset/synthetic.h"
 #include "mpc/circuit_builder.h"
 #include "mpc/gmw.h"
 #include "mpc/plain_eval.h"
+#include "obs/trace.h"
 #include "secret/sec_sum_share.h"
 
 namespace eppi::net {
@@ -189,6 +193,106 @@ TEST(SocketTransportTest, FullConstructionOverTcp) {
   // Identity 0 is at every provider: common under the basic policy.
   EXPECT_TRUE(results[0].coordinator->mixed[0]);
   EXPECT_EQ(results[0].coordinator->revealed_frequencies[0], 0u);
+}
+
+// Per-phase cost of one construction, summed over the parties' phase spans.
+constexpr std::array<std::string_view, 5> kPhases = {
+    "phase:secsum", "phase:count_below", "phase:mix_reveal",
+    "phase:broadcast", "phase:publish"};
+
+std::uint64_t span_u64(const obs::SpanEvent& ev, std::string_view key) {
+  for (std::uint32_t k = 0; k < ev.n_attrs && k < ev.kMaxAttrs; ++k) {
+    const auto& a = ev.attrs[k];
+    if (std::string_view(a.key, ::strnlen(a.key, a.kKeyCap)) == key &&
+        a.value.type == obs::AttrValue::Type::kU64) {
+      return a.value.u64;
+    }
+  }
+  return 0;
+}
+
+std::array<CostSnapshot, kPhases.size()> drain_phase_costs() {
+  std::array<CostSnapshot, kPhases.size()> costs{};
+  for (const auto& ev : obs::default_sink().drain()) {
+    for (std::size_t k = 0; k < kPhases.size(); ++k) {
+      if (ev.name_view() != kPhases[k]) continue;
+      costs[k].bytes += span_u64(ev, "bytes");
+      costs[k].messages += span_u64(ev, "messages");
+      costs[k].rounds += span_u64(ev, "rounds");
+    }
+  }
+  return costs;
+}
+
+// Cross-runtime differential: the same construction on the in-process
+// Cluster and on loopback SocketRuntimes opens the same aggregates and
+// costs the same per phase. The published rows are not compared bit for
+// bit: the runtimes seed party RNGs differently (Rng::fork of the cluster
+// seed vs. seed·1000003 + self), so the MixAndReveal coins and the
+// publication draws differ; both must still have full recall.
+TEST(SocketTransportTest, ConstructionMatchesInProcessCluster) {
+  constexpr std::size_t kM = 5;
+  eppi::Rng rng(17);
+  eppi::dataset::SyntheticConfig sc;
+  sc.providers = kM;
+  sc.identities = 400;
+  sc.zipf_exponent = 0.9;
+  sc.max_fraction = 0.6;
+  const auto truth = eppi::dataset::make_zipf_network(sc, rng).membership;
+  const auto epsilons =
+      eppi::dataset::random_epsilons(sc.identities, rng, 0.0, 0.65);
+  std::vector<std::vector<std::uint8_t>> rows(kM);
+  for (std::size_t i = 0; i < kM; ++i) {
+    for (std::size_t j = 0; j < sc.identities; ++j) {
+      rows[i].push_back(truth.get(i, j) ? 1 : 0);
+    }
+  }
+  eppi::core::DistributedOptions options;
+  options.policy = eppi::core::BetaPolicy::chernoff(0.9);
+  options.c = 3;
+
+  (void)obs::default_sink().drain();
+  const std::uint64_t dropped = obs::default_sink().dropped();
+  std::vector<eppi::core::ConstructionPartyResult> in_process(kM);
+  Cluster cluster(kM, 7);
+  cluster.run([&](PartyContext& ctx) {
+    in_process[ctx.id()] = eppi::core::run_construction_party(
+        ctx, rows[ctx.id()], epsilons, options);
+  });
+  const auto cluster_costs = drain_phase_costs();
+  std::vector<eppi::core::ConstructionPartyResult> over_tcp(kM);
+  run_over_sockets(kM, next_port_base(), [&](PartyContext& ctx, std::size_t i) {
+    over_tcp[i] =
+        eppi::core::run_construction_party(ctx, rows[i], epsilons, options);
+  });
+  const auto socket_costs = drain_phase_costs();
+  ASSERT_EQ(obs::default_sink().dropped(), dropped) << "trace ring overflowed";
+
+  for (std::size_t k = 0; k < kPhases.size(); ++k) {
+    EXPECT_EQ(socket_costs[k].bytes, cluster_costs[k].bytes) << kPhases[k];
+    EXPECT_EQ(socket_costs[k].messages, cluster_costs[k].messages)
+        << kPhases[k];
+    EXPECT_EQ(socket_costs[k].rounds, cluster_costs[k].rounds) << kPhases[k];
+  }
+  EXPECT_GT(cluster_costs[1].bytes, 0u);  // CountBelow ran
+  for (std::size_t i = 0; i < kM; ++i) {
+    const bool coordinator = i < options.c;
+    ASSERT_EQ(in_process[i].coordinator.has_value(), coordinator) << i;
+    ASSERT_EQ(over_tcp[i].coordinator.has_value(), coordinator) << i;
+    if (coordinator) {
+      const auto& a = *in_process[i].coordinator;
+      const auto& b = *over_tcp[i].coordinator;
+      EXPECT_EQ(b.common_count, a.common_count) << i;
+      EXPECT_EQ(b.xi, a.xi) << i;
+      EXPECT_EQ(b.lambda, a.lambda) << i;
+    }
+    for (std::size_t j = 0; j < sc.identities; ++j) {
+      if (rows[i][j] == 0) continue;
+      EXPECT_EQ(in_process[i].published_row[j], 1) << i << "," << j;
+      EXPECT_EQ(over_tcp[i].published_row[j], 1) << i << "," << j;
+    }
+  }
+  EXPECT_GT(in_process[0].coordinator->common_count, 0u);
 }
 
 TEST(SocketTransportTest, BadSelfIdRejected) {
